@@ -13,8 +13,9 @@
 // This bench runs the figure-reproduction workloads with the enumeration
 // cache OFF (modeling the paper's per-launch enumeration, where resolution
 // work is heaviest) over a 1..N thread sweep and prints the real resolution
-// wall time plus the speedup against the serial engine.  A Functional-mode
-// equivalence check re-verifies byte-identical results before reporting.
+// wall time plus the speedup against inline resolution (0 threads).  A
+// Functional-mode equivalence check re-verifies byte-identical results
+// before reporting.
 
 #include <thread>
 #include <vector>
@@ -81,10 +82,7 @@ bool checkEquivalence() {
     rt::Runtime rt(cfg, model(), module());
     temp = init;
     apps::runHotspot(rt, n, iters, temp.data(), power.data());
-    st = rt.stats();
-    st.resolutionTasks = 0;
-    st.resolutionWallSeconds = 0;
-    st.parallelWallSeconds = 0;
+    st = rt::deterministicStats(rt.stats());
   };
   std::vector<double> tempSerial, tempPar;
   rt::RuntimeStats statsSerial, statsPar;

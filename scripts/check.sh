@@ -3,8 +3,9 @@
 # and a TSan configuration covering the parallel resolution engine — the same
 # recipes .claude/skills/verify/SKILL.md documents, run back to back.
 #
-#   scripts/check.sh            # everything (tier-1, asan, tsan, bytecode, dataflow, repartition, irregular)
+#   scripts/check.sh            # everything (tier-1, perfbench, asan, tsan, bytecode, dataflow, repartition, irregular)
 #   scripts/check.sh tier1      # just the default build + full test suite
+#   scripts/check.sh perfbench  # the benchmark harness's own unit tests
 #   scripts/check.sh asan tsan  # just the sanitizer configurations
 #   scripts/check.sh bytecode   # sanitizer trees re-run under the bytecode tier
 #   scripts/check.sh dataflow   # sanitizer trees re-run with dataflow planning on
@@ -19,7 +20,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 jobs=$(nproc 2>/dev/null || echo 4)
 stages=("$@")
-[ ${#stages[@]} -eq 0 ] && stages=(tier1 asan tsan bytecode dataflow repartition irregular)
+[ ${#stages[@]} -eq 0 ] && stages=(tier1 perfbench asan tsan bytecode dataflow repartition irregular)
 
 run() {
   echo
@@ -47,6 +48,13 @@ for stage in "${stages[@]}"; do
       # suites assert equivalence; this proves the bench harness runs).
       run ./build/bench/pipelined_launch --iters-scale=0.1
       ;;
+    perfbench)
+      # The benchmark's own tests: BENCHMARK.json's metric names and bounds,
+      # every workload emitting every declared metric through
+      # perfbench/run.py (which builds its driver under .bench_build/), and
+      # seed-independent modeled counters.
+      run python3 -m unittest discover -s perfbench/tests
+      ;;
     asan)
       run cmake -B build-asan -S . -DPOLYPART_SANITIZE=address,undefined
       run cmake --build build-asan -j "$jobs"
@@ -59,7 +67,7 @@ for stage in "${stages[@]}"; do
     tsan)
       run cmake -B build-tsan -S . -DPOLYPART_SANITIZE=thread
       run cmake --build build-tsan -j "$jobs"
-      # The thread-sensitive suites (pool, parallel engine, pipelined launch
+      # The thread-sensitive suites (pool, threaded resolution, pipelined launch
       # engine, runtime, cache, tracker, tracer) — the full suite under TSan
       # is needlessly slow.
       run ctest --test-dir build-tsan -j "$jobs" --output-on-failure \
@@ -176,7 +184,7 @@ for stage in "${stages[@]}"; do
         ctest --test-dir build-tsan -j "$jobs" --output-on-failure -L fuzz
       ;;
     *)
-      echo "unknown stage '$stage' (expected: tier1, asan, tsan, bytecode, dataflow, repartition, irregular)" >&2
+      echo "unknown stage '$stage' (expected: tier1, perfbench, asan, tsan, bytecode, dataflow, repartition, irregular)" >&2
       exit 2
       ;;
   esac

@@ -7,8 +7,7 @@
 #include <limits>
 #include <thread>
 #include <tuple>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 #include "pset/fm_internal.h"
 #include "rt/checkpoint.h"
@@ -245,11 +244,7 @@ Runtime::Runtime(RuntimeConfig config, analysis::ApplicationModel model,
         ke.enumIsMayRead[ei] = 1;
     }
   };
-  if (pool_) {
-    pool_->parallelFor(numKernels, buildEntry);
-  } else {
-    for (i64 i = 0; i < numKernels; ++i) buildEntry(i);
-  }
+  forEachTask(numKernels, buildEntry);
   for (std::size_t i = 0; i < entries.size(); ++i)
     kernels_.emplace(model_.kernels[i].kernel, std::move(entries[i]));
 
@@ -280,14 +275,12 @@ Runtime::~Runtime() {
 
 const Runtime::KernelEntry& Runtime::entry(const std::string& name) const {
   auto it = kernels_.find(name);
-  PP_ASSERT_MSG(it != kernels_.end(), "launch of unknown kernel");
+  if (it == kernels_.end()) throw Error("unknown kernel '" + name + "'");
   return it->second;
 }
 
 Runtime::KernelEntry& Runtime::entry(const std::string& name) {
-  auto it = kernels_.find(name);
-  PP_ASSERT_MSG(it != kernels_.end(), "launch of unknown kernel");
-  return it->second;
+  return const_cast<KernelEntry&>(std::as_const(*this).entry(name));
 }
 
 std::shared_ptr<const Runtime::LaunchPlan> Runtime::findPrebuilt(
@@ -296,64 +289,6 @@ std::shared_ptr<const Runtime::LaunchPlan> Runtime::findPrebuilt(
   for (const auto& [k, plan] : activePending_->prebuilt)
     if (k == key) return plan;
   return nullptr;
-}
-
-const Runtime::LaunchPlan* Runtime::resolvePlan(KernelEntry& ke,
-                                                const PartitionTuple& tuple,
-                                                const LaunchConfig& cfg,
-                                                std::span<const i64> scalars,
-                                                bool& wasHit) {
-  if (!config_.enableEnumerationCache) {
-    // Pipelined mode, cache off: replay the plan the submitting thread
-    // pre-materialized.  Its ranges/info are exactly what the live
-    // enumerate() below it would produce, and `wasHit` stays false, so
-    // stats and modeled costs match the un-pipelined path byte for byte.
-    if (activePending_ != nullptr && !activePending_->prebuilt.empty()) {
-      wasHit = false;
-      if (std::shared_ptr<const LaunchPlan> pre =
-              findPrebuilt(codegen::EnumerationKey::of(tuple, cfg, scalars)))
-        return pre.get();  // kept alive by the PendingLaunch until committed
-    }
-    return nullptr;
-  }
-  codegen::EnumerationKey key = codegen::EnumerationKey::of(tuple, cfg, scalars);
-  auto it = ke.planCache.find(key);
-  if (it != ke.planCache.end()) {
-    wasHit = true;
-    ++stats_.enumCacheHits;
-    trace::instant(config_.tracer, "cache", "plan-hit");
-    trace::counter(config_.tracer, "cache", "plan-cache-hits",
-                   stats_.enumCacheHits);
-    return it->second.get();
-  }
-  wasHit = false;
-  ++stats_.enumCacheMisses;
-  trace::instant(config_.tracer, "cache", "plan-miss");
-  trace::counter(config_.tracer, "cache", "plan-cache-misses",
-                 stats_.enumCacheMisses);
-  const i64 cap = config_.enumerationCachePlansPerKernel;
-  if (cap > 0 && static_cast<i64>(ke.planCache.size()) >= cap) {
-    ke.planCache.erase(ke.planCacheOrder.front());
-    ke.planCacheOrder.pop_front();
-    ++stats_.enumCacheEvictions;
-    trace::instant(config_.tracer, "cache", "plan-evict");
-    trace::counter(config_.tracer, "cache", "plan-cache-evictions",
-                   stats_.enumCacheEvictions);
-  }
-  // A plan pre-materialized at submission satisfies the miss without
-  // enumerating here; a mispredict (or serial mode) falls back to building.
-  std::shared_ptr<const LaunchPlan> plan = findPrebuilt(key);
-  if (plan == nullptr) {
-    auto fresh = std::make_shared<LaunchPlan>();
-    fresh->reserve(ke.enumerators.size());
-    for (const Enumerator& e : ke.enumerators)
-      fresh->push_back(e.materialize(tuple, cfg, scalars));
-    plan = std::move(fresh);
-  }
-  auto [pos, inserted] = ke.planCache.emplace(std::move(key), std::move(plan));
-  PP_ASSERT(inserted);
-  ke.planCacheOrder.push_back(pos->first);
-  return pos->second.get();
 }
 
 const ir::Kernel& Runtime::partitionedKernel(const std::string& name) const {
@@ -684,142 +619,6 @@ void Runtime::sampleCacheCounters() {
   stats_.specProgramEvictions = specEvictions;
 }
 
-void Runtime::synchronizeReads(KernelEntry& ke, const LaunchConfig& cfg,
-                               std::span<const LaunchArg> args,
-                               std::span<const i64> scalars) {
-  ResolutionTimer timer(*this);
-  trace::Span span(config_.tracer, "runtime", "sync-reads");
-  std::unique_ptr<TransferPlan> xferPlan = makeTransferPlan();
-  // While the inspector is active, the whole-extent enumerators of
-  // inspectable may-read args are skipped: synchronizeMayAccessReads()
-  // replaces them with the exact inspected footprints.
-  const bool inspector = inspectorActiveFor(ke);
-  // Shared-copy bookkeeping scratch; call-local so the serial and parallel
-  // engines have the same per-task-ownership shape (no cross-call aliasing).
-  std::vector<std::pair<i64, i64>> sharerScratch;
-  for (int gpu = 0; gpu < config_.numGpus; ++gpu) {
-    GridPartition gp = partitionFor(*ke.model, cfg.grid, gpu);
-    if (gp.blockCount() == 0) continue;
-    PartitionTuple tuple = PartitionTuple::fromBlocks(gp, cfg.block);
-    bool cached = false;
-    const LaunchPlan* plan = resolvePlan(ke, tuple, cfg, scalars, cached);
-
-    for (std::size_t ei = 0; ei < ke.enumerators.size(); ++ei) {
-      const Enumerator& e = ke.enumerators[ei];
-      if (e.isWrite()) continue;
-      if (inspector && ke.enumIsMayRead[ei] != 0) continue;
-      VirtualBuffer* vb = args[e.argIndex()].buffer;
-      PP_ASSERT(vb != nullptr);
-      codegen::EnumInfo info;
-      i64 segments = 0;
-      auto resolveRange = [&](i64 elemB, i64 elemE) {
-        vb->tracker_.querySharers(
-            elemB * kElemBytes, elemE * kElemBytes,
-            [&](i64 b, i64 en, Owner owner, u64 sharers) {
-              ++segments;
-              if (owner == gpu || owner < 0) return;  // up to date / undefined
-              // Sharer bits are consulted when either feature maintains
-              // them: trackSharedCopies records reactive replicas, the
-              // dataflow planner records prefetched ones.
-              if ((config_.trackSharedCopies || config_.dataflowPlanning) &&
-                  gpu < 64 && (sharers & (u64{1} << gpu)) != 0) {
-                if (config_.trackSharedCopies)
-                  ++stats_.sharedCopyHits;  // replica already valid here
-                else
-                  ++stats_.prefetchHits;  // prefetch landed: skip the copy
-                return;
-              }
-              if (config_.enableTransfers) {
-                if (xferPlan != nullptr) {
-                  // Scheduled mode: record the decision; the whole launch's
-                  // plan is merged and issued after the query loops.
-                  xferPlan->add(vb, gpu, static_cast<int>(owner), b, en);
-                } else {
-                  machine_->copyPeer(
-                      vb->instances_[static_cast<std::size_t>(gpu)], b,
-                      vb->instances_[static_cast<std::size_t>(owner)], b,
-                      en - b);
-                  ++stats_.peerCopies;
-                  trace::instant(config_.tracer, "transfer", "peer-copy",
-                                 {{"src", owner}, {"dst", gpu}, {"bytes", en - b}});
-                }
-                if (config_.trackSharedCopies) sharerScratch.emplace_back(b, en);
-              }
-            });
-        // Record the new replicas outside the query traversal (addSharer
-        // mutates the tracker).
-        for (const auto& [b, en] : sharerScratch)
-          vb->tracker_.addSharer(b, en, gpu);
-        sharerScratch.clear();
-      };
-      if (plan != nullptr) {
-        // Replay the memoized ranges against the live tracker.
-        const codegen::MaterializedRanges& mr = (*plan)[ei];
-        for (const auto& [b, en] : mr.ranges) resolveRange(b, en);
-        info = mr.info;
-      } else {
-        e.enumerate(tuple, cfg, scalars, resolveRange, &info);
-      }
-      stats_.rangesResolved += info.ranges;
-      stats_.logicalRowsResolved += info.logicalRows;
-      stats_.trackerSegmentsVisited += segments;
-      double rowCost =
-          cached ? config_.cachedResolutionCostPerRow : config_.resolutionCostPerRow;
-      double perRow = rowCost +
-                      (config_.enableTransfers ? config_.transferIssueCostPerRow : 0);
-      double cost = config_.resolutionCostPerArray +
-                    perRow * static_cast<double>(info.logicalRows + segments);
-      double simStart = machine_->now();
-      machine_->advanceHost(cost);
-      trace::simSpan(config_.tracer, "sim.pattern", "resolve-reads",
-                     sim::kSimHostTrack, simStart, cost, {{"gpu", gpu}});
-    }
-  }
-  if (xferPlan != nullptr) issueTransferPlan(*xferPlan);
-}
-
-void Runtime::updateTrackers(KernelEntry& ke, const LaunchConfig& cfg,
-                             std::span<const LaunchArg> args,
-                             std::span<const i64> scalars) {
-  ResolutionTimer timer(*this);
-  trace::Span span(config_.tracer, "runtime", "update-trackers");
-  for (int gpu = 0; gpu < config_.numGpus; ++gpu) {
-    GridPartition gp = partitionFor(*ke.model, cfg.grid, gpu);
-    if (gp.blockCount() == 0) continue;
-    PartitionTuple tuple = PartitionTuple::fromBlocks(gp, cfg.block);
-    bool cached = false;
-    const LaunchPlan* plan = resolvePlan(ke, tuple, cfg, scalars, cached);
-
-    for (std::size_t ei = 0; ei < ke.enumerators.size(); ++ei) {
-      const Enumerator& e = ke.enumerators[ei];
-      if (!e.isWrite()) continue;
-      VirtualBuffer* vb = args[e.argIndex()].buffer;
-      PP_ASSERT(vb != nullptr);
-      codegen::EnumInfo info;
-      if (plan != nullptr) {
-        const codegen::MaterializedRanges& mr = (*plan)[ei];
-        for (const auto& [b, en] : mr.ranges)
-          vb->tracker_.update(b * kElemBytes, en * kElemBytes, gpu);
-        info = mr.info;
-      } else {
-        e.enumerate(tuple, cfg, scalars, [&](i64 elemB, i64 elemE) {
-          vb->tracker_.update(elemB * kElemBytes, elemE * kElemBytes, gpu);
-        }, &info);
-      }
-      stats_.rangesResolved += info.ranges;
-      stats_.logicalRowsResolved += info.logicalRows;
-      double rowCost =
-          cached ? config_.cachedResolutionCostPerRow : config_.resolutionCostPerRow;
-      double cost = config_.resolutionCostPerArray +
-                    rowCost * static_cast<double>(info.logicalRows);
-      double simStart = machine_->now();
-      machine_->advanceHost(cost);
-      trace::simSpan(config_.tracer, "sim.pattern", "update-writes",
-                     sim::kSimHostTrack, simStart, cost, {{"gpu", gpu}});
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // May-access tier: inspector–executor (DESIGN.md "May-access tier").
 // ---------------------------------------------------------------------------
@@ -838,8 +637,9 @@ std::shared_ptr<const Runtime::InspectedFootprints> Runtime::inspectFootprints(
 
   // Cache probe.  The geometry/scalars/buffer-identity/weights tuple is the
   // key; the content versions decide freshness.  Content versions move only
-  // on Tracker::update() — which both engines perform in byte-identical
-  // sequences — so hit/miss/invalidation counts are knob-invariant.  Only
+  // on Tracker::update() — performed in the same sequence at every
+  // resolutionThreads value — so hit/miss/invalidation counts are
+  // knob-invariant.  Only
   // *read* arguments enter the freshness vector: a write-only output cannot
   // influence the walk, and skipping its version is what lets the repeat
   // launch of an iterative kernel hit the cache despite writing its output.
@@ -975,10 +775,10 @@ void Runtime::synchronizeMayAccessReads(KernelEntry& ke,
   trace::Span span(config_.tracer, "runtime", "sync-may-reads");
   std::unique_ptr<TransferPlan> xferPlan = makeTransferPlan();
   std::vector<std::pair<i64, i64>> sharerScratch;
-  // Same traversal shape and per-array modeled cost as synchronizeReads,
-  // driven by the inspected footprints instead of the enumerators.  Called
-  // identically by both resolution engines (it is already cheap and
-  // footprint-exact), which keeps them byte-identical.
+  // Same tracker-query and per-array modeled-cost sequence as
+  // synchronizeReads, driven by the inspected footprints instead of the
+  // enumerators.  It stays a direct loop at every resolutionThreads value
+  // (it is already cheap and footprint-exact).
   for (int gpu = 0; gpu < config_.numGpus; ++gpu) {
     for (std::size_t si = 0; si < ke.mayReadArgs.size(); ++si) {
       const auto& ranges = fp.ranges[si][static_cast<std::size_t>(gpu)];
@@ -1064,31 +864,43 @@ void Runtime::gatherRmwMayArgs(KernelEntry& ke, std::span<const LaunchArg> args,
 }
 
 // ---------------------------------------------------------------------------
-// Parallel resolution engine (RuntimeConfig::resolutionThreads > 0).
+// Dependency-resolution engine (DESIGN.md "Dependency-resolution engine").
 //
-// The serial paper loop above interleaves three kinds of work per
-// (GPU partition, array) pair: pure polyhedral enumeration, tracker
-// queries/updates, and machine-model bookkeeping (transfers + modeled host
-// cost).  The engine splits them into three phases:
+// A launch resolves its read sets before the kernels run and its write sets
+// after them (Fig. 4, Section 8.3).  Per (GPU partition, array) pair that is
+// three kinds of work: pure polyhedral enumeration, tracker queries/updates,
+// and machine-model bookkeeping (transfers + modeled host cost).  Each pass
+// runs them as three phases:
 //
-//   1. acquirePlans      — all missing (gpu, enumerator) materializations run
-//                          concurrently (Enumerator::materialize is const and
-//                          touches no shared state); the plan cache itself is
-//                          only mutated on this thread, with the serial
-//                          hit/miss/eviction accounting replayed verbatim.
+//   1. acquirePlans      — the (gpu, enumerator) materializations the pass
+//                          needs (Enumerator::enumerate is const and touches
+//                          no shared state); the plan cache itself is only
+//                          mutated on this thread, with its FIFO
+//                          hit/miss/eviction accounting in GPU order.
 //   2. sharded trackers  — one task per destination VirtualBuffer executes
 //                          that buffer's work items in the canonical
 //                          (gpu, enumerator, range) order.  Trackers of
-//                          different buffers are independent, and the serial
-//                          loop's tracker operations restricted to one buffer
-//                          occur in exactly this order, so every tracker
-//                          reaches a byte-identical state without locks.
+//                          different buffers are independent, so every
+//                          tracker sees the same operation sequence however
+//                          the tasks are scheduled.
 //   3. ordered commit    — transfer decisions and modeled costs collected by
 //                          the tasks are replayed into sim::Machine in the
-//                          canonical serial order, so engine reservations,
+//                          canonical order, so engine reservations,
 //                          floating-point cost accumulation, MachineStats,
-//                          and RuntimeStats are byte-identical as well.
+//                          and RuntimeStats do not depend on the schedule.
+//
+// RuntimeConfig::resolutionThreads only decides where phases 1 and 2 run:
+// inline on this thread at 0 (the paper's serial resolution), on the pool
+// otherwise.
 // ---------------------------------------------------------------------------
+
+void Runtime::forEachTask(i64 n, const std::function<void(i64)>& body) {
+  if (pool_ != nullptr) {
+    pool_->parallelFor(n, body);
+    return;
+  }
+  for (i64 i = 0; i < n; ++i) body(i);
+}
 
 void Runtime::runResolutionTasks(const char* label, i64 n,
                                  const std::function<void(i64)>& body) {
@@ -1098,121 +910,117 @@ void Runtime::runResolutionTasks(const char* label, i64 n,
   // parallel window outside an open resolution window would make the subset
   // accounting meaningless.
   PP_ASSERT_MSG(ResolutionTimer::openOnThisThread(*this),
-                "parallel resolution tasks outside a resolution wall-time window");
+                "resolution tasks outside a resolution wall-time window");
   trace::Span span(config_.tracer, "runtime", label, {}, {{"tasks", n}});
   auto t0 = std::chrono::steady_clock::now();
-  pool_->parallelFor(n, body);
+  forEachTask(n, body);
+  if (pool_ == nullptr) return;  // inline: no pool tasks, no parallel time
   stats_.resolutionTasks += n;
   stats_.parallelWallSeconds += wallSeconds(t0);
 }
 
+support::SmallVec<VirtualBuffer*, 8> Runtime::passBuffers(
+    const KernelEntry& ke, std::span<const LaunchArg> args,
+    const ResolutionPass& pass) {
+  // Every partition consumes the same enumerators, so the enumerators alone
+  // fix the buffer set; kernels take a handful of array arguments, so a
+  // linear search is all the deduplication needs.
+  support::SmallVec<VirtualBuffer*, 8> buffers;
+  for (std::size_t ei = 0; ei < ke.enumerators.size(); ++ei) {
+    const Enumerator& e = ke.enumerators[ei];
+    if (!pass.consumes(e, ei)) continue;
+    VirtualBuffer* vb = args[e.argIndex()].buffer;
+    PP_ASSERT(vb != nullptr);
+    if (std::find(buffers.begin(), buffers.end(), vb) == buffers.end())
+      buffers.push_back(vb);
+  }
+  return buffers;
+}
+
 std::vector<Runtime::PlanAcquisition> Runtime::acquirePlans(
-    KernelEntry& ke, const LaunchConfig& cfg, std::span<const i64> scalars) {
+    KernelEntry& ke, const LaunchConfig& cfg, std::span<const i64> scalars,
+    const ResolutionPass& pass) {
   trace::Span span(config_.tracer, "runtime", "phase1:acquire-plans");
   std::vector<PlanAcquisition> acqs;
+  acqs.reserve(static_cast<std::size_t>(config_.numGpus));
   for (int gpu = 0; gpu < config_.numGpus; ++gpu) {
     GridPartition gp = partitionFor(*ke.model, cfg.grid, gpu);
     if (gp.blockCount() == 0) continue;
-    acqs.push_back(
-        PlanAcquisition{gpu, PartitionTuple::fromBlocks(gp, cfg.block), nullptr,
-                        false});
+    acqs.push_back(PlanAcquisition{gpu,
+                                   PartitionTuple::fromBlocks(gp, cfg.block),
+                                   nullptr, nullptr, false});
   }
   const std::size_t numEnums = ke.enumerators.size();
+  // Plans the submitting thread pre-materialized (pipelined mode) are taken
+  // as-is; only the remainder is enumerated here.
+  const bool havePrebuilt =
+      activePending_ != nullptr && !activePending_->prebuilt.empty();
 
   if (!config_.enableEnumerationCache) {
-    // Cache off: the paper's runtime re-enumerates every launch.  The
-    // enumeration is still materialized (concurrently) into pass-local plans
-    // so the tracker phase can replay it; the recorded ranges are exactly
-    // what a live enumerate() call would have emitted.  Plans the submitting
-    // thread already pre-materialized (pipelined mode) are reused directly.
-    std::vector<std::size_t> need;  // acq indices without a prebuilt plan
+    // Cache off: the paper's runtime re-enumerates, every launch, exactly the
+    // enumerators the pass consumes.  They enumerate into the retained rows
+    // of passRanges_ so the tracker phase can replay them; the recorded
+    // ranges are exactly what a live enumerate() call emits.
+    if (passRanges_.size() < acqs.size() * numEnums)
+      passRanges_.resize(acqs.size() * numEnums);
+    support::SmallVec<std::size_t, 16> need;   // acquisitions to enumerate
+    support::SmallVec<std::size_t, 16> enums;  // enumerators the pass consumes
     for (std::size_t ai = 0; ai < acqs.size(); ++ai) {
-      if (activePending_ != nullptr && !activePending_->prebuilt.empty())
-        acqs[ai].plan = findPrebuilt(
-            codegen::EnumerationKey::of(acqs[ai].tuple, cfg, scalars));
-      if (acqs[ai].plan == nullptr) need.push_back(ai);
+      PlanAcquisition& a = acqs[ai];
+      if (havePrebuilt)
+        a.pin =
+            findPrebuilt(codegen::EnumerationKey::of(a.tuple, cfg, scalars));
+      if (a.pin != nullptr) {
+        a.ranges = a.pin->data();
+        continue;
+      }
+      a.ranges = &passRanges_[ai * numEnums];
+      need.push_back(ai);
     }
-    std::vector<std::shared_ptr<LaunchPlan>> fresh(need.size());
-    for (auto& p : fresh) p = std::make_shared<LaunchPlan>(numEnums);
+    for (std::size_t ei = 0; ei < numEnums; ++ei)
+      if (pass.consumes(ke.enumerators[ei], ei)) enums.push_back(ei);
     runResolutionTasks(
-        "phase1:materialize", static_cast<i64>(need.size() * numEnums),
+        "phase1:materialize", static_cast<i64>(need.size() * enums.size()),
         [&](i64 t) {
-          const std::size_t ni = static_cast<std::size_t>(t) / numEnums;
-          const std::size_t ei = static_cast<std::size_t>(t) % numEnums;
-          (*fresh[ni])[ei] =
-              ke.enumerators[ei].materialize(acqs[need[ni]].tuple, cfg, scalars);
+          const std::size_t task = static_cast<std::size_t>(t);
+          const std::size_t ai = need[task / enums.size()];
+          const std::size_t ei = enums[task % enums.size()];
+          codegen::MaterializedRanges& mr = passRanges_[ai * numEnums + ei];
+          mr.ranges.clear();
+          mr.info = {};
+          ke.enumerators[ei].enumerate(
+              acqs[ai].tuple, cfg, scalars,
+              [&mr](i64 b, i64 e) { mr.ranges.emplace_back(b, e); }, &mr.info);
         });
-    for (std::size_t ni = 0; ni < need.size(); ++ni)
-      acqs[need[ni]].plan = std::move(fresh[ni]);
     return acqs;
   }
 
-  // Cache on: materialize only the keys that will miss at commit time.  A
-  // key present now can still miss later — the FIFO may evict it while
-  // earlier partitions of this very pass insert theirs — so the commit's
-  // hit/miss sequence is predicted by simulating the FIFO against a copy of
-  // the cache's key set.  Tasks write into pre-allocated pass-local plans;
-  // the cache itself is never touched off this thread (single-producer, no
-  // mutex).
-  std::vector<codegen::EnumerationKey> keys;
-  keys.reserve(acqs.size());
-  for (const PlanAcquisition& a : acqs)
-    keys.push_back(codegen::EnumerationKey::of(a.tuple, cfg, scalars));
+  // Cache on: the cache commit runs first, in canonical GPU order with the
+  // cache's counter and FIFO semantics (including eviction thrash when the
+  // capacity is smaller than the partitions of one launch).  A miss inserts
+  // the plan the submitting thread pre-materialized, or a whole plan that
+  // the tasks below fill in.  The cache itself is only touched on this
+  // thread (single-producer, no mutex).
+  struct Miss {
+    std::size_t acq;
+    codegen::EnumerationKey key;
+    std::shared_ptr<LaunchPlan> plan;
+  };
+  std::vector<Miss> toBuild;
   const i64 cap = config_.enumerationCachePlansPerKernel;
-  std::deque<codegen::EnumerationKey> simOrder = ke.planCacheOrder;
-  std::unordered_set<codegen::EnumerationKey, codegen::EnumerationKeyHash>
-      simPresent(simOrder.begin(), simOrder.end());
-  std::vector<std::size_t> missing;  // acq indices with unique missing keys
   for (std::size_t ai = 0; ai < acqs.size(); ++ai) {
-    if (simPresent.count(keys[ai]) != 0) continue;  // will hit at commit time
-    bool dup = false;
-    for (std::size_t mj : missing)
-      if (keys[mj] == keys[ai]) {
-        dup = true;
-        break;
-      }
-    if (!dup) missing.push_back(ai);
-    if (cap > 0 && static_cast<i64>(simPresent.size()) >= cap) {
-      simPresent.erase(simOrder.front());
-      simOrder.pop_front();
-    }
-    simPresent.insert(keys[ai]);
-    simOrder.push_back(keys[ai]);
-  }
-  // Predicted misses already pre-materialized at submission (pipelined mode)
-  // are taken as-is; only the remainder fans out to the pool.
-  std::vector<std::shared_ptr<const LaunchPlan>> built(missing.size());
-  std::vector<std::size_t> toBuild;  // indices into `missing`
-  for (std::size_t mi = 0; mi < missing.size(); ++mi) {
-    if (activePending_ != nullptr && !activePending_->prebuilt.empty())
-      built[mi] = findPrebuilt(keys[missing[mi]]);
-    if (built[mi] == nullptr) toBuild.push_back(mi);
-  }
-  std::vector<std::shared_ptr<LaunchPlan>> freshBuilt(toBuild.size());
-  for (auto& p : freshBuilt) p = std::make_shared<LaunchPlan>(numEnums);
-  runResolutionTasks(
-      "phase1:materialize", static_cast<i64>(toBuild.size() * numEnums),
-      [&](i64 t) {
-        const std::size_t ti = static_cast<std::size_t>(t) / numEnums;
-        const std::size_t ei = static_cast<std::size_t>(t) % numEnums;
-        (*freshBuilt[ti])[ei] = ke.enumerators[ei].materialize(
-            acqs[missing[toBuild[ti]]].tuple, cfg, scalars);
-      });
-  for (std::size_t ti = 0; ti < toBuild.size(); ++ti)
-    built[toBuild[ti]] = std::move(freshBuilt[ti]);
-
-  // Commit in canonical GPU order, replaying resolvePlan's counter and FIFO
-  // semantics exactly (including eviction thrash when the capacity is
-  // smaller than the partitions of one launch).
-  for (std::size_t ai = 0; ai < acqs.size(); ++ai) {
-    auto it = ke.planCache.find(keys[ai]);
+    PlanAcquisition& a = acqs[ai];
+    codegen::EnumerationKey key =
+        codegen::EnumerationKey::of(a.tuple, cfg, scalars);
+    auto it = ke.planCache.find(key);
     if (it != ke.planCache.end()) {
       ++stats_.enumCacheHits;
       trace::instant(config_.tracer, "cache", "plan-hit");
       trace::counter(config_.tracer, "cache", "plan-cache-hits",
                      stats_.enumCacheHits);
-      acqs[ai].cached = true;
-      acqs[ai].plan = it->second;
+      a.cached = true;
+      a.pin = it->second;
+      a.ranges = a.pin->data();
       continue;
     }
     ++stats_.enumCacheMisses;
@@ -1227,67 +1035,59 @@ std::vector<Runtime::PlanAcquisition> Runtime::acquirePlans(
       trace::counter(config_.tracer, "cache", "plan-cache-evictions",
                      stats_.enumCacheEvictions);
     }
-    std::shared_ptr<const LaunchPlan> plan;
-    for (std::size_t mi = 0; mi < missing.size(); ++mi)
-      if (keys[missing[mi]] == keys[ai]) {
-        plan = built[mi];
-        break;
-      }
-    PP_ASSERT_MSG(plan != nullptr, "missed key was not materialized");
-    auto [pos, inserted] = ke.planCache.emplace(keys[ai], std::move(plan));
+    std::shared_ptr<const LaunchPlan> plan =
+        havePrebuilt ? findPrebuilt(key) : nullptr;
+    if (plan == nullptr) {
+      auto fresh = std::make_shared<LaunchPlan>(numEnums);
+      toBuild.push_back(Miss{ai, key, fresh});
+      plan = std::move(fresh);
+    }
+    a.pin = plan;
+    a.ranges = plan->data();
+    auto [pos, inserted] =
+        ke.planCache.emplace(std::move(key), std::move(plan));
     PP_ASSERT(inserted);
     ke.planCacheOrder.push_back(pos->first);
-    acqs[ai].plan = pos->second;
-    acqs[ai].cached = false;
+  }
+  try {
+    runResolutionTasks(
+        "phase1:materialize", static_cast<i64>(toBuild.size() * numEnums),
+        [&](i64 t) {
+          const Miss& m = toBuild[static_cast<std::size_t>(t) / numEnums];
+          const std::size_t ei = static_cast<std::size_t>(t) % numEnums;
+          (*m.plan)[ei] =
+              ke.enumerators[ei].materialize(acqs[m.acq].tuple, cfg, scalars);
+        });
+  } catch (...) {
+    // A failed enumeration must not leave unfilled plans for later hits.
+    for (const Miss& m : toBuild) {
+      auto it = ke.planCache.find(m.key);
+      if (it == ke.planCache.end() || it->second != m.plan) continue;
+      ke.planCache.erase(it);
+      std::erase(ke.planCacheOrder, m.key);
+    }
+    throw;
   }
   return acqs;
 }
 
-namespace {
-
-/// Work items of one resolution pass grouped by destination buffer: shard s
-/// owns every (acquisition, enumerator) pair that touches buffers[s], in
-/// canonical order.
-struct BufferShards {
-  std::vector<VirtualBuffer*> buffers;
-  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> items;
-};
-
-BufferShards shardByBuffer(const std::vector<Enumerator>& enumerators,
-                           std::span<const LaunchArg> args, std::size_t numAcqs,
-                           bool writes,
-                           const std::vector<char>* skipEnum = nullptr) {
-  BufferShards shards;
-  std::unordered_map<VirtualBuffer*, std::size_t> index;
-  for (std::size_t ai = 0; ai < numAcqs; ++ai) {
-    for (std::size_t ei = 0; ei < enumerators.size(); ++ei) {
-      if (enumerators[ei].isWrite() != writes) continue;
-      // Inspector-skipped enumerators must not shard at all: the phase-2
-      // tasks mutate tracker sharer state, which the skip exists to avoid.
-      if (skipEnum != nullptr && (*skipEnum)[ei] != 0) continue;
-      VirtualBuffer* vb = args[enumerators[ei].argIndex()].buffer;
-      PP_ASSERT(vb != nullptr);
-      auto [it, fresh] = index.try_emplace(vb, shards.buffers.size());
-      if (fresh) {
-        shards.buffers.push_back(vb);
-        shards.items.emplace_back();
-      }
-      shards.items[it->second].emplace_back(ai, ei);
-    }
-  }
-  return shards;
-}
-
-}  // namespace
-
-void Runtime::synchronizeReadsParallel(KernelEntry& ke, const LaunchConfig& cfg,
-                                       std::span<const LaunchArg> args,
-                                       std::span<const i64> scalars) {
+void Runtime::synchronizeReads(KernelEntry& ke, const LaunchConfig& cfg,
+                               std::span<const LaunchArg> args,
+                               std::span<const i64> scalars) {
   ResolutionTimer timer(*this);
   trace::Span span(config_.tracer, "runtime", "sync-reads");
-  std::vector<PlanAcquisition> acqs = acquirePlans(ke, cfg, scalars);
+  // While the inspector is active, the whole-extent enumerators of
+  // inspectable may-read args are skipped: synchronizeMayAccessReads()
+  // replaces them with the exact inspected footprints.
+  const ResolutionPass pass{
+      false, inspectorActiveFor(ke) ? &ke.enumIsMayRead : nullptr};
+  std::vector<PlanAcquisition> acqs = acquirePlans(ke, cfg, scalars, pass);
   const std::size_t numEnums = ke.enumerators.size();
+  const support::SmallVec<VirtualBuffer*, 8> buffers =
+      passBuffers(ke, args, pass);
 
+  // Phase 2 output per (acquisition, enumerator): the transfer decisions,
+  // stored contiguously in the buffer's shard list, and the query counts.
   struct Transfer {
     i64 begin = 0;
     i64 end = 0;
@@ -1296,65 +1096,76 @@ void Runtime::synchronizeReadsParallel(KernelEntry& ke, const LaunchConfig& cfg,
   struct EnumResolution {
     i64 segments = 0;
     i64 sharedHits = 0;
-    std::vector<Transfer> transfers;
+    std::size_t shard = 0;
+    std::size_t firstTransfer = 0;
+    std::size_t endTransfer = 0;
   };
   std::vector<EnumResolution> results(acqs.size() * numEnums);
+  std::vector<std::vector<Transfer>> transfers(buffers.size());
 
-  const bool inspector = inspectorActiveFor(ke);
-  BufferShards shards =
-      shardByBuffer(ke.enumerators, args, acqs.size(), /*writes=*/false,
-                    inspector ? &ke.enumIsMayRead : nullptr);
-  runResolutionTasks("phase2:tracker-tasks",
-                     static_cast<i64>(shards.buffers.size()), [&](i64 s) {
-    VirtualBuffer* vb = shards.buffers[static_cast<std::size_t>(s)];
+  runResolutionTasks("phase2:tracker-tasks", static_cast<i64>(buffers.size()),
+                     [&](i64 s) {
+    const std::size_t shard = static_cast<std::size_t>(s);
+    VirtualBuffer* vb = buffers[shard];
+    std::vector<Transfer>& out = transfers[shard];
     std::vector<std::pair<i64, i64>> sharerScratch;  // task-local
-    for (const auto& [ai, ei] : shards.items[static_cast<std::size_t>(s)]) {
-      const PlanAcquisition& a = acqs[ai];
-      const codegen::MaterializedRanges& mr = (*a.plan)[ei];
-      EnumResolution& r = results[ai * numEnums + ei];
-      const int gpu = a.gpu;
-      for (const auto& [elemB, elemE] : mr.ranges) {
-        vb->tracker_.querySharers(
-            elemB * kElemBytes, elemE * kElemBytes,
-            [&](i64 b, i64 en, Owner owner, u64 sharers) {
-              ++r.segments;
-              if (owner == gpu || owner < 0) return;  // up to date / undefined
-              if ((config_.trackSharedCopies || config_.dataflowPlanning) &&
-                  gpu < 64 && (sharers & (u64{1} << gpu)) != 0) {
-                ++r.sharedHits;  // replica already valid here
-                return;
-              }
-              if (config_.enableTransfers) {
-                r.transfers.push_back(Transfer{b, en, owner});
-                if (config_.trackSharedCopies) sharerScratch.emplace_back(b, en);
-              }
-            });
-        // Record the new replicas outside the query traversal (addSharer
-        // mutates the tracker).
-        for (const auto& [b, en] : sharerScratch)
-          vb->tracker_.addSharer(b, en, gpu);
-        sharerScratch.clear();
+    for (std::size_t ai = 0; ai < acqs.size(); ++ai) {
+      const int gpu = acqs[ai].gpu;
+      for (std::size_t ei = 0; ei < numEnums; ++ei) {
+        const Enumerator& e = ke.enumerators[ei];
+        if (!pass.consumes(e, ei) || args[e.argIndex()].buffer != vb) continue;
+        EnumResolution& r = results[ai * numEnums + ei];
+        r.shard = shard;
+        r.firstTransfer = out.size();
+        for (const auto& [elemB, elemE] : acqs[ai].ranges[ei].ranges) {
+          vb->tracker_.querySharers(
+              elemB * kElemBytes, elemE * kElemBytes,
+              [&](i64 b, i64 en, Owner owner, u64 sharers) {
+                ++r.segments;
+                // Up to date here, or never written.
+                if (owner == gpu || owner < 0) return;
+                // Sharer bits are consulted when either feature maintains
+                // them: trackSharedCopies records reactive replicas, the
+                // dataflow planner records prefetched ones.
+                if ((config_.trackSharedCopies || config_.dataflowPlanning) &&
+                    gpu < 64 && (sharers & (u64{1} << gpu)) != 0) {
+                  ++r.sharedHits;  // replica already valid here
+                  return;
+                }
+                if (config_.enableTransfers) {
+                  out.push_back(Transfer{b, en, owner});
+                  if (config_.trackSharedCopies)
+                    sharerScratch.emplace_back(b, en);
+                }
+              });
+          // Record the new replicas outside the query traversal (addSharer
+          // mutates the tracker).
+          for (const auto& [b, en] : sharerScratch)
+            vb->tracker_.addSharer(b, en, gpu);
+          sharerScratch.clear();
+        }
+        r.endTransfer = out.size();
       }
     }
   });
 
-  // Ordered commit: identical machine-call and stats sequence as the serial
-  // loop — (gpu ascending, enumerator ascending, transfers in decision
-  // order, then the modeled per-array cost).  With scheduling on, the same
-  // canonical order instead populates the TransferPlan, so the schedule —
-  // and everything downstream of it — matches the serial engine byte for
-  // byte.
+  // Ordered commit: (gpu ascending, enumerator ascending, transfers in
+  // decision order, then the modeled per-array cost).  With scheduling on,
+  // the same canonical order instead populates the TransferPlan, so the
+  // schedule — and everything downstream of it — is schedule-independent
+  // too.
   trace::Span phase3(config_.tracer, "runtime", "phase3:commit");
   std::unique_ptr<TransferPlan> xferPlan = makeTransferPlan();
   for (std::size_t ai = 0; ai < acqs.size(); ++ai) {
     const PlanAcquisition& a = acqs[ai];
     for (std::size_t ei = 0; ei < numEnums; ++ei) {
       const Enumerator& e = ke.enumerators[ei];
-      if (e.isWrite()) continue;
-      if (inspector && ke.enumIsMayRead[ei] != 0) continue;
+      if (!pass.consumes(e, ei)) continue;
       VirtualBuffer* vb = args[e.argIndex()].buffer;
       const EnumResolution& r = results[ai * numEnums + ei];
-      for (const Transfer& t : r.transfers) {
+      const std::vector<Transfer>& shardTransfers = transfers[r.shard];
+      for (std::size_t ti = r.firstTransfer; ti < r.endTransfer; ++ti) {
+        const Transfer& t = shardTransfers[ti];
         if (xferPlan != nullptr) {
           xferPlan->add(vb, a.gpu, static_cast<int>(t.owner), t.begin, t.end);
           continue;
@@ -1368,14 +1179,13 @@ void Runtime::synchronizeReadsParallel(KernelEntry& ke, const LaunchConfig& cfg,
             config_.tracer, "transfer", "peer-copy",
             {{"src", t.owner}, {"dst", a.gpu}, {"bytes", t.end - t.begin}});
       }
-      // Same attribution rule as the serial path: with shared-copy tracking
-      // on, sharer hits are its; otherwise only prefetched replicas can set
-      // sharer bits, so they are the planner's.
+      // With shared-copy tracking on, sharer hits are its; otherwise only
+      // prefetched replicas can set sharer bits, so they are the planner's.
       if (config_.trackSharedCopies)
         stats_.sharedCopyHits += r.sharedHits;
       else
         stats_.prefetchHits += r.sharedHits;
-      const codegen::EnumInfo& info = (*a.plan)[ei].info;
+      const codegen::EnumInfo& info = a.ranges[ei].info;
       stats_.rangesResolved += info.ranges;
       stats_.logicalRowsResolved += info.logicalRows;
       stats_.trackerSegmentsVisited += r.segments;
@@ -1396,32 +1206,34 @@ void Runtime::synchronizeReadsParallel(KernelEntry& ke, const LaunchConfig& cfg,
   if (xferPlan != nullptr) issueTransferPlan(*xferPlan);
 }
 
-void Runtime::updateTrackersParallel(KernelEntry& ke, const LaunchConfig& cfg,
-                                     std::span<const LaunchArg> args,
-                                     std::span<const i64> scalars) {
+void Runtime::updateTrackers(KernelEntry& ke, const LaunchConfig& cfg,
+                             std::span<const LaunchArg> args,
+                             std::span<const i64> scalars) {
   ResolutionTimer timer(*this);
   trace::Span span(config_.tracer, "runtime", "update-trackers");
-  std::vector<PlanAcquisition> acqs = acquirePlans(ke, cfg, scalars);
+  const ResolutionPass pass{true, nullptr};
+  std::vector<PlanAcquisition> acqs = acquirePlans(ke, cfg, scalars, pass);
   const std::size_t numEnums = ke.enumerators.size();
+  const support::SmallVec<VirtualBuffer*, 8> buffers =
+      passBuffers(ke, args, pass);
 
-  BufferShards shards =
-      shardByBuffer(ke.enumerators, args, acqs.size(), /*writes=*/true);
-  runResolutionTasks("phase2:tracker-tasks",
-                     static_cast<i64>(shards.buffers.size()), [&](i64 s) {
-    VirtualBuffer* vb = shards.buffers[static_cast<std::size_t>(s)];
-    for (const auto& [ai, ei] : shards.items[static_cast<std::size_t>(s)]) {
-      const PlanAcquisition& a = acqs[ai];
-      for (const auto& [elemB, elemE] : (*a.plan)[ei].ranges)
-        vb->tracker_.update(elemB * kElemBytes, elemE * kElemBytes, a.gpu);
-    }
+  runResolutionTasks("phase2:tracker-tasks", static_cast<i64>(buffers.size()),
+                     [&](i64 s) {
+    VirtualBuffer* vb = buffers[static_cast<std::size_t>(s)];
+    for (const PlanAcquisition& a : acqs)
+      for (std::size_t ei = 0; ei < numEnums; ++ei) {
+        const Enumerator& e = ke.enumerators[ei];
+        if (!pass.consumes(e, ei) || args[e.argIndex()].buffer != vb) continue;
+        for (const auto& [elemB, elemE] : a.ranges[ei].ranges)
+          vb->tracker_.update(elemB * kElemBytes, elemE * kElemBytes, a.gpu);
+      }
   });
 
   trace::Span phase3(config_.tracer, "runtime", "phase3:commit");
-  for (std::size_t ai = 0; ai < acqs.size(); ++ai) {
-    const PlanAcquisition& a = acqs[ai];
+  for (const PlanAcquisition& a : acqs) {
     for (std::size_t ei = 0; ei < numEnums; ++ei) {
-      if (!ke.enumerators[ei].isWrite()) continue;
-      const codegen::EnumInfo& info = (*a.plan)[ei].info;
+      if (!pass.consumes(ke.enumerators[ei], ei)) continue;
+      const codegen::EnumInfo& info = a.ranges[ei].info;
       stats_.rangesResolved += info.ranges;
       stats_.logicalRowsResolved += info.logicalRows;
       double rowCost = a.cached ? config_.cachedResolutionCostPerRow
@@ -1617,10 +1429,7 @@ void Runtime::executeLaunch(PendingLaunch& pl) {
     // can skip their whole-extent enumerators.
     std::shared_ptr<const InspectedFootprints> fp;
     if (inspectorActiveFor(ke)) fp = inspectFootprints(ke, cfg, args, scalars);
-    if (pool_)
-      synchronizeReadsParallel(ke, cfg, args, scalars);
-    else
-      synchronizeReads(ke, cfg, args, scalars);
+    synchronizeReads(ke, cfg, args, scalars);
     if (fp != nullptr) synchronizeMayAccessReads(ke, args, *fp);
     if (!planned) machine_->synchronizeAll();
   }
@@ -1746,12 +1555,8 @@ void Runtime::executeLaunch(PendingLaunch& pl) {
 
   // (4) Update the trackers for all writes (Fig. 4, third loop); this runs
   // concurrently with the asynchronous kernels (host-side only).
-  if (config_.enableDependencyResolution) {
-    if (pool_)
-      updateTrackersParallel(ke, cfg, args, scalars);
-    else
-      updateTrackers(ke, cfg, args, scalars);
-  }
+  if (config_.enableDependencyResolution)
+    updateTrackers(ke, cfg, args, scalars);
 
   // (5) Eager prefetch: issue this cycle position's compiled flow edges now
   // that the trackers reflect the launch's writes.  Floors keep the modeled
@@ -1772,7 +1577,7 @@ void Runtime::executeLaunch(PendingLaunch& pl) {
 }
 
 void Runtime::commitLaunch(PendingLaunch& pl) {
-  // activePending_ exposes the prebuilt plans to resolvePlan/acquirePlans
+  // activePending_ exposes the prebuilt plans to acquirePlans
   // and the issue tag to issueTransferPlan for the duration of this commit;
   // the guard clears it even when executeLaunch throws.
   struct ActiveGuard {

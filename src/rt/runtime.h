@@ -19,12 +19,13 @@
 // (Section 9.2): disable transfers, or disable dependency resolution
 // entirely.
 //
-// Beyond the paper, RuntimeConfig::resolutionThreads enables a host-side
-// parallel resolution engine (see DESIGN.md "Parallel dependency-resolution
-// engine"): plan materialization fans out over (GPU, enumerator) pairs,
-// tracker work is sharded per destination buffer, and transfer decisions are
-// replayed into the machine model in the canonical serial order, keeping
-// results and modeled timing byte-identical with threads on or off.
+// Dependency resolution runs as one three-phase engine (see DESIGN.md
+// "Dependency-resolution engine"): plan materialization per (GPU,
+// enumerator) pair, tracker work sharded per destination buffer, and an
+// ordered commit of transfer decisions and modeled costs into the machine
+// model.  RuntimeConfig::resolutionThreads only sets how wide the first two
+// phases fan out (0 runs them inline), so results and modeled timing are
+// byte-identical at every width.
 //
 // RuntimeConfig::pipelineDepth adds an asynchronous pipelined launch engine
 // on top (see DESIGN.md "Pipelined launches & tenancy"): submit() prepares
@@ -53,6 +54,7 @@
 #include "ir/transform.h"
 #include "rt/tracker.h"
 #include "sim/machine.h"
+#include "support/small_vec.h"
 
 namespace polypart::support {
 class ThreadPool;
@@ -177,9 +179,9 @@ struct RuntimeConfig {
   bool trackSharedCopies = false;
   /// Topology-aware transfer scheduling (extension; see DESIGN.md "Transfer
   /// plan").  Off (default): the paper's behaviour — each resolved segment is
-  /// copied the moment the tracker query yields it.  On: both resolution
-  /// engines collect the per-launch transfer decisions into a TransferPlan
-  /// that merges adjacent/overlapping same-link ranges, chains one-to-many
+  /// copied in resolution order.  On: the resolution engine collects the
+  /// per-launch transfer decisions into a TransferPlan that merges
+  /// adjacent/overlapping same-link ranges, chains one-to-many
   /// reads through fresh replicas (when trackSharedCopies provides the
   /// sharer bookkeeping), and issues round-robin across (src, dst) links.
   /// Functional results, tracker state, and gather bytes are byte-identical
@@ -269,13 +271,13 @@ struct RuntimeConfig {
   double transferIssueCostPerRow = 35e-9;
   /// Fixed modeled host cost per (array, partition) resolution step.
   double resolutionCostPerArray = 2e-6;
-  /// Worker threads for the host-side parallel resolution engine.  0 keeps
-  /// the paper's serial loop over every (GPU partition, array) pair
-  /// (Section 8.3); N > 0 runs a three-phase engine on an N-thread pool:
-  /// parallel plan materialization, per-buffer sharded tracker phases, and a
-  /// deterministic ordered commit into the machine model.  Results, modeled
-  /// timing, and RuntimeStats (minus the wall-clock/task meta-counters) are
-  /// byte-identical for every value of this knob.
+  /// Worker threads for the dependency-resolution engine (plan
+  /// materialization, per-buffer sharded tracker phases, ordered commit into
+  /// the machine model).  0 runs the phases inline on the launching thread,
+  /// which is the paper's serial §8.3 resolution; N > 0 fans the first two
+  /// out over an N-thread pool.  Results, modeled timing, and RuntimeStats
+  /// (minus the meta-counters, see deterministicStats()) are byte-identical
+  /// for every value of this knob.
   int resolutionThreads = 0;
   /// Slowdown factor applied to kernels whose write patterns must be
   /// collected by instrumentation (paper Section 11 future work; dynamic
@@ -400,10 +402,11 @@ struct RuntimeStats {
   i64 inspectedElements = 0;   // may-read accesses observed by the walks
   // Engine meta-counters.  These describe *how* the resolution executed, not
   // what it computed: wall-clock fields are nondeterministic by nature and
-  // resolutionTasks is 0 in serial mode, so the determinism guarantee of
-  // RuntimeConfig::resolutionThreads covers every field above this line and
-  // excludes the three below (tests/parallel_resolution_test.cpp).
-  i64 resolutionTasks = 0;           // tasks executed by the parallel engine
+  // resolutionTasks is 0 when the engine runs inline (resolutionThreads 0),
+  // so the determinism guarantee of RuntimeConfig::resolutionThreads covers
+  // every field above this line and excludes the three below
+  // (tests/parallel_resolution_test.cpp).
+  i64 resolutionTasks = 0;           // tasks executed on the resolution pool
   double resolutionWallSeconds = 0;  // real host time spent resolving
   double parallelWallSeconds = 0;    // real time inside parallel phases
   // Cache-telemetry meta-counters, sampled at the end of every launch.  The
@@ -424,6 +427,18 @@ struct RuntimeStats {
 
   bool operator==(const RuntimeStats&) const = default;
 };
+
+/// `s` without the engine and cache-telemetry meta-counters: the part of the
+/// stats every determinism guarantee (resolution width, pipeline depth,
+/// enumerator tier, tracing) promises to keep byte-identical.
+inline RuntimeStats deterministicStats(RuntimeStats s) {
+  s.resolutionTasks = 0;
+  s.resolutionWallSeconds = 0;
+  s.parallelWallSeconds = 0;
+  s.fmMemoHits = s.fmMemoMisses = s.fmMemoEvictions = 0;
+  s.specProgramHits = s.specProgramMisses = s.specProgramEvictions = 0;
+  return s;
+}
 
 /// Per-tenant slice of the runtime's accounting (Runtime::tenantStats).
 struct TenantStats {
@@ -579,8 +594,7 @@ class Runtime {
   /// kernel's may-access reads, plus everything the walk depended on (the
   /// cache key).  Entries go stale when any recorded buffer's
   /// Tracker::contentVersion() moves — update() bumps it, addSharer() does
-  /// not, so replication-pattern differences between the resolution engines
-  /// cannot thrash the cache.
+  /// not, so replica bookkeeping cannot thrash the cache.
   struct InspectedFootprints {
     ir::LaunchConfig cfg;
     std::vector<i64> scalars;
@@ -608,8 +622,8 @@ class Runtime {
     std::vector<i64> lastScalars;
     /// Enumeration cache (one plan per launch configuration seen, FIFO
     /// bounded by RuntimeConfig::enumerationCachePlansPerKernel).  Plans are
-    /// held by shared_ptr so the parallel engine can keep using an acquired
-    /// plan after a later insertion of the same pass evicts it.
+    /// held by shared_ptr so a pass can keep using an acquired plan after a
+    /// later insertion of the same pass evicts it.
     std::unordered_map<codegen::EnumerationKey, std::shared_ptr<const LaunchPlan>,
                        codegen::EnumerationKeyHash>
         planCache;
@@ -637,21 +651,36 @@ class Runtime {
     /// gather).  Index i here owns InspectedFootprints::ranges[i].
     std::vector<std::size_t> mayReadArgs;
     /// Per enumerators[] entry: it realizes the whole-extent read of an
-    /// inspectable arg, so both sync engines skip it while the inspector is
-    /// active (the footprint sync replaces it).
+    /// inspectable arg, so read synchronization skips it while the inspector
+    /// is active (the footprint sync replaces it).
     std::vector<char> enumIsMayRead;
     /// Inspection cache, FIFO bounded by
     /// RuntimeConfig::inspectionCacheEntriesPerKernel.  Engine thread only.
     std::deque<std::shared_ptr<const InspectedFootprints>> inspections;
   };
 
-  /// One GPU partition's launch plan for the current pass: the materialized
-  /// enumerator output (owned by the cache, or pass-local when the cache is
-  /// off) plus whether it was replayed (cache hit → cheaper modeled cost).
+  /// The enumerators one resolution pass consumes: the writes for the
+  /// tracker update; for the read sync, the reads minus those the inspector
+  /// replaces (`skip`, KernelEntry::enumIsMayRead, null when inactive).
+  struct ResolutionPass {
+    bool writes = false;
+    const std::vector<char>* skip = nullptr;
+    bool consumes(const codegen::Enumerator& e, std::size_t ei) const {
+      return e.isWrite() == writes && (skip == nullptr || (*skip)[ei] == 0);
+    }
+  };
+
+  /// One GPU partition's launch plan for the current pass, plus whether it
+  /// was replayed (cache hit → cheaper modeled cost).
   struct PlanAcquisition {
     int gpu = 0;
     codegen::PartitionTuple tuple;
-    std::shared_ptr<const LaunchPlan> plan;
+    /// Materialized output indexed like KernelEntry::enumerators: a cached
+    /// or prebuilt plan, or a row of passRanges_ (cache off), where only the
+    /// enumerators the pass consumes are filled.
+    const codegen::MaterializedRanges* ranges = nullptr;
+    /// Owns a cached or prebuilt plan for the pass (null for passRanges_).
+    std::shared_ptr<const LaunchPlan> pin;
     bool cached = false;
   };
 
@@ -677,9 +706,9 @@ class Runtime {
     /// Plans materialized on the submitting thread, keyed by enumeration
     /// key.  With the cache on these are the *predicted* misses of the
     /// cache-FIFO replay; with it off, every non-empty partition's plan.
-    /// Consulted by resolvePlan()/acquirePlans() during commit; a mispredict
-    /// merely falls back to materializing there (correctness never depends
-    /// on the prediction).
+    /// Consulted by acquirePlans() during commit; a mispredict merely falls
+    /// back to materializing there (correctness never depends on the
+    /// prediction).
     std::vector<std::pair<codegen::EnumerationKey,
                           std::shared_ptr<const LaunchPlan>>>
         prebuilt;
@@ -703,16 +732,6 @@ class Runtime {
   /// prev -> next (repartition.cpp).  Caller has drained and validated.
   RepartitionResult migrateKernel(KernelEntry& ke, const Partitioning& prev,
                                   const Partitioning& next);
-  /// Returns the cached launch plan for one (kernel, partition) pair,
-  /// materializing it on a miss; nullptr when the cache is disabled.
-  /// `wasHit` reports whether the plan was replayed rather than built.
-  const LaunchPlan* resolvePlan(KernelEntry& ke,
-                                const codegen::PartitionTuple& tuple,
-                                const ir::LaunchConfig& cfg,
-                                std::span<const i64> scalars, bool& wasHit);
-  void synchronizeReads(KernelEntry& ke, const ir::LaunchConfig& cfg,
-                        std::span<const LaunchArg> args,
-                        std::span<const i64> scalars);
   /// True when this launch should run the inspector–executor: the knob is
   /// on and the kernel has inspectable may-access reads.
   bool inspectorActiveFor(const KernelEntry& ke) const;
@@ -727,8 +746,7 @@ class Runtime {
   /// Read synchronization for the inspected footprints, replacing the
   /// skipped whole-extent enumerators with the same tracker-query /
   /// sharer-skip / transfer-plan / modeled-cost sequence as the regular
-  /// paths (called identically by both engines, keeping them
-  /// byte-identical).
+  /// read sync.
   void synchronizeMayAccessReads(KernelEntry& ke,
                                  std::span<const LaunchArg> args,
                                  const InspectedFootprints& fp);
@@ -757,31 +775,39 @@ class Runtime {
   /// Samples the FM-memoization and specialized-program cache counters into
   /// the stats meta-fields (end of every launch; engine thread).
   void sampleCacheCounters();
+
+  // -- dependency-resolution engine (DESIGN.md) ------------------------------
+  /// Phase 1: acquires one launch plan per non-empty GPU partition.  Cache
+  /// off, it materializes only the enumerators `pass` consumes into
+  /// passRanges_; cache on, it first commits the pass to the plan cache on
+  /// this thread (FIFO hit/miss/eviction accounting), then materializes
+  /// whole plans for the misses.
+  std::vector<PlanAcquisition> acquirePlans(KernelEntry& ke,
+                                            const ir::LaunchConfig& cfg,
+                                            std::span<const i64> scalars,
+                                            const ResolutionPass& pass);
+  /// The distinct buffers `pass` touches, in first-use order: one phase-2
+  /// task each.
+  static support::SmallVec<VirtualBuffer*, 8> passBuffers(
+      const KernelEntry& ke, std::span<const LaunchArg> args,
+      const ResolutionPass& pass);
+  /// Phases 2+3 for the read sets (Fig. 4, first loop): per-buffer sharded
+  /// tracker queries with task-local sharer scratch, then a deterministic
+  /// ordered commit of the collected transfer decisions into the machine
+  /// model.
+  void synchronizeReads(KernelEntry& ke, const ir::LaunchConfig& cfg,
+                        std::span<const LaunchArg> args,
+                        std::span<const i64> scalars);
+  /// Phases 2+3 for the write sets (Fig. 4, third loop): per-buffer sharded
+  /// tracker updates, then the ordered commit of the modeled bookkeeping
+  /// costs.
   void updateTrackers(KernelEntry& ke, const ir::LaunchConfig& cfg,
                       std::span<const LaunchArg> args,
                       std::span<const i64> scalars);
-
-  // -- parallel resolution engine (RuntimeConfig::resolutionThreads > 0) -----
-  /// Phase 1: acquires one launch plan per non-empty GPU partition,
-  /// materializing cache misses concurrently on the pool (pure work) and
-  /// committing them to the plan cache single-producer on this thread with
-  /// the exact hit/miss/eviction accounting of the serial resolvePlan path.
-  std::vector<PlanAcquisition> acquirePlans(KernelEntry& ke,
-                                            const ir::LaunchConfig& cfg,
-                                            std::span<const i64> scalars);
-  /// Phases 2+3 for the read sets: per-buffer sharded tracker queries with
-  /// task-local sharer scratch, then a deterministic ordered commit of the
-  /// collected transfer decisions into the machine model.
-  void synchronizeReadsParallel(KernelEntry& ke, const ir::LaunchConfig& cfg,
-                                std::span<const LaunchArg> args,
-                                std::span<const i64> scalars);
-  /// Phases 2+3 for the write sets: per-buffer sharded tracker updates, then
-  /// the ordered commit of the modeled bookkeeping costs.
-  void updateTrackersParallel(KernelEntry& ke, const ir::LaunchConfig& cfg,
-                              std::span<const LaunchArg> args,
-                              std::span<const i64> scalars);
-  /// Runs `n` tasks on the pool and accounts them in RuntimeStats; `label`
-  /// names the enclosing trace span (must be a string literal).
+  /// Runs body(0..n-1) on the pool, or inline in index order without a pool.
+  void forEachTask(i64 n, const std::function<void(i64)>& body);
+  /// forEachTask() inside a resolution pass: a `label` trace span (must be a
+  /// string literal), and pool tasks accounted in RuntimeStats.
   void runResolutionTasks(const char* label, i64 n,
                           const std::function<void(i64)>& body);
 
@@ -820,13 +846,17 @@ class Runtime {
   RuntimeConfig config_;
   analysis::ApplicationModel model_;
   std::unique_ptr<sim::Machine> machine_;
-  std::unique_ptr<support::ThreadPool> pool_;  // null in serial paper mode
+  std::unique_ptr<support::ThreadPool> pool_;  // null: resolution runs inline
   std::map<std::string, KernelEntry> kernels_;
   std::vector<std::unique_ptr<VirtualBuffer>> buffers_;
   /// Addresses of buffers released through free(): distinguishes a double
   /// free from a free of a pointer this runtime never allocated.
   std::vector<const VirtualBuffer*> freedBuffers_;
   RuntimeStats stats_;
+  /// Cache-off plan storage of the current resolution pass, acquisitions x
+  /// enumerators, reused across passes so steady-state launches enumerate
+  /// into retained capacity.  Committing thread only.
+  std::vector<codegen::MaterializedRanges> passRanges_;
   /// Cross-launch dataflow planners, one per tenant (empty unless
   /// dataflowPlanning is on and dependency resolution + transfers are
   /// enabled).  Buffers are tenant-owned, so cross-tenant flow edges cannot
@@ -858,8 +888,8 @@ class Runtime {
     TenantStats stats;
   };
   std::vector<TenantState> tenants_;
-  /// The launch currently committing (engine thread only); resolvePlan /
-  /// acquirePlans consult its prebuilt plans through findPrebuilt().
+  /// The launch currently committing (engine thread only); acquirePlans
+  /// consults its prebuilt plans through findPrebuilt().
   const PendingLaunch* activePending_ = nullptr;
   std::function<void(i64, TenantId)> commitObserver_;
   i64 serialNextTicket_ = 0;  // submit() tickets in serial mode

@@ -9,7 +9,7 @@
 // per link, and Ferry et al. (arXiv:2312.03646) that eliminating redundant
 // copies of data flowing to multiple consumers, is where distributed-memory
 // transfer performance comes from.  When RuntimeConfig::transferScheduling is
-// on, both resolution engines collect their per-launch transfer *decisions*
+// on, the resolution engine collects its per-launch transfer *decisions*
 // into a TransferPlan instead of issuing them, and the plan then
 //   (a) merges adjacent/overlapping byte ranges with the same (src, dst),
 //   (b) chains one-to-many reads: when >= 2 GPUs pull the same range from an

@@ -324,13 +324,7 @@ TEST(DataflowPlan, PlanningComposesWithPipelineAndThreads) {
     RunOut out;
     out.x.assign(static_cast<std::size_t>(kN), -1.0);
     rt.memcpy(out.x.data(), vx, bytes, MemcpyKind::DeviceToHost);
-    RuntimeStats s = rt.stats();
-    s.resolutionTasks = 0;
-    s.resolutionWallSeconds = 0;
-    s.parallelWallSeconds = 0;
-    s.fmMemoHits = s.fmMemoMisses = s.fmMemoEvictions = 0;
-    s.specProgramHits = s.specProgramMisses = s.specProgramEvictions = 0;
-    out.stats = s;
+    out.stats = deterministicStats(rt.stats());
     return out;
   };
   RunOut ref = runWith(0, 0);

@@ -217,5 +217,31 @@ TEST(EnumCache, BoundedCacheEvictsFifoAndStaysCorrect) {
   EXPECT_EQ(statsBig.enumCacheMisses, 4);
 }
 
+TEST(EnumCache, FailedEnumerationLeavesNoPlanBehind) {
+  // A launch whose enumeration overflows fails before its plan exists; the
+  // cache must not keep a placeholder that a relaunch would replay as an
+  // empty plan.  n = 2^62 makes the row stride of the flattened hotspot
+  // arrays overflow 64 bits on the first row past zero.
+  ir::Module mod = apps::buildBenchmarkModule();
+  ApplicationModel model = analysis::analyzeModule(mod);
+  for (int threads : {0, 2}) {
+    RuntimeConfig cfg = cacheCfg(2, /*cache=*/true);
+    cfg.mode = sim::ExecutionMode::TimingOnly;
+    cfg.resolutionThreads = threads;
+    Runtime rt(cfg, model, mod);
+    VirtualBuffer* src = rt.malloc(64);
+    VirtualBuffer* pw = rt.malloc(64);
+    VirtualBuffer* dst = rt.malloc(64);
+    LaunchArg args[] = {LaunchArg::ofInt(i64{1} << 62), LaunchArg::ofFloat(0.1),
+                        LaunchArg::ofFloat(0.1), LaunchArg::ofBuffer(src),
+                        LaunchArg::ofBuffer(pw), LaunchArg::ofBuffer(dst)};
+    for (int attempt = 0; attempt < 2; ++attempt)
+      EXPECT_THROW(rt.launch("hotspot", {2, 2, 1}, {8, 8, 1}, args),
+                   OverflowError)
+          << "threads=" << threads << " attempt=" << attempt;
+    EXPECT_EQ(rt.stats().enumCacheHits, 0) << threads;
+  }
+}
+
 }  // namespace
 }  // namespace polypart::rt

@@ -268,13 +268,7 @@ TEST(Irregular, ByteIdenticalAcrossAllKnobs) {
     EXPECT_EQ(gotBfs, expBfs);
     EXPECT_EQ(gotHist, expHist);
 
-    RuntimeStats s = rt.stats();
-    s.resolutionTasks = 0;
-    s.resolutionWallSeconds = 0;
-    s.parallelWallSeconds = 0;
-    s.fmMemoHits = s.fmMemoMisses = s.fmMemoEvictions = 0;
-    s.specProgramHits = s.specProgramMisses = s.specProgramEvictions = 0;
-    *statsOut = s;
+    *statsOut = deterministicStats(rt.stats());
   };
 
   for (bool inspector : {false, true}) {

@@ -33,18 +33,6 @@ const ApplicationModel& benchModel() {
   return model;
 }
 
-/// Zeroes the engine meta-counters RuntimeStats documents as excluded from
-/// the determinism guarantee (wall clocks are real time; task counts are 0
-/// in serial mode by definition).
-RuntimeStats canonical(RuntimeStats s) {
-  s.resolutionTasks = 0;
-  s.resolutionWallSeconds = 0;
-  s.parallelWallSeconds = 0;
-  s.fmMemoHits = s.fmMemoMisses = s.fmMemoEvictions = 0;
-  s.specProgramHits = s.specProgramMisses = s.specProgramEvictions = 0;
-  return s;
-}
-
 RuntimeConfig engineCfg(int gpus, int threads, bool cache) {
   RuntimeConfig cfg;
   cfg.numGpus = gpus;
@@ -122,7 +110,8 @@ TEST(ParallelResolution, ExampleAppsAreByteIdenticalAcrossThreadCounts) {
         EXPECT_EQ(par.bytes, serial.bytes)
             << apps::benchmarkName(b) << " threads=" << threads
             << " cache=" << cache;
-        EXPECT_EQ(canonical(par.stats), canonical(serial.stats))
+        EXPECT_EQ(deterministicStats(par.stats),
+                  deterministicStats(serial.stats))
             << apps::benchmarkName(b) << " threads=" << threads
             << " cache=" << cache;
         EXPECT_EQ(par.machine, serial.machine)
@@ -212,7 +201,8 @@ TEST(ParallelResolution, TrackerStateAndGatherBytesIdentical) {
         EXPECT_EQ(par.gathered, serial.gathered)
             << "threads=" << threads << " cache=" << cache
             << " sharedCopies=" << sharedCopies;
-        EXPECT_EQ(canonical(par.stats), canonical(serial.stats))
+        EXPECT_EQ(deterministicStats(par.stats),
+                  deterministicStats(serial.stats))
             << "threads=" << threads << " cache=" << cache
             << " sharedCopies=" << sharedCopies;
       }
@@ -248,7 +238,8 @@ TEST(ParallelResolution, SharedCopyHitsAreDeterministic) {
   for (int threads : {1, 4}) {
     auto [bytesN, statsN] = run(threads);
     EXPECT_EQ(bytesN, bytes0) << threads;
-    EXPECT_EQ(canonical(statsN), canonical(stats0)) << threads;
+    EXPECT_EQ(deterministicStats(statsN), deterministicStats(stats0))
+        << threads;
   }
 }
 
@@ -273,7 +264,8 @@ TEST(ParallelResolution, EvictionThrashKeepsCountersIdentical) {
   for (int threads : {1, 4}) {
     auto [bytesN, statsN] = run(threads);
     EXPECT_EQ(bytesN, bytes0) << threads;
-    EXPECT_EQ(canonical(statsN), canonical(stats0)) << threads;
+    EXPECT_EQ(deterministicStats(statsN), deterministicStats(stats0))
+        << threads;
     EXPECT_GT(statsN.enumCacheEvictions, 0) << threads;
   }
 }
@@ -294,8 +286,9 @@ TEST(ParallelResolution, ResolutionWallTimeIsCountedOnce) {
 }
 
 TEST(ParallelResolution, SerialModeHasNoParallelMetaCounters) {
-  // In serial mode the parallel engine never runs: its meta-counters must
-  // stay exactly zero while the resolution wall clock still accumulates.
+  // At 0 threads the engine runs its tasks inline, off the pool: the pool
+  // meta-counters must stay exactly zero while the resolution wall clock
+  // still accumulates.
   AppRun serial = runApp(apps::Benchmark::Hotspot, /*threads=*/0,
                          /*cache=*/true, 4);
   EXPECT_GT(serial.stats.resolutionWallSeconds, 0.0);
@@ -318,7 +311,8 @@ TEST(ParallelResolution, BetaConfigurationIsDeterministicToo) {
   auto [stats0, sim0] = run(0);
   for (int threads : {1, 4}) {
     auto [statsN, simN] = run(threads);
-    EXPECT_EQ(canonical(statsN), canonical(stats0)) << threads;
+    EXPECT_EQ(deterministicStats(statsN), deterministicStats(stats0))
+        << threads;
     EXPECT_EQ(simN, sim0) << threads;
     EXPECT_EQ(statsN.peerCopies, 0) << threads;
   }

@@ -38,18 +38,6 @@ const ApplicationModel& benchModel() {
   return model;
 }
 
-/// Zeroes the meta-counters RuntimeStats documents as excluded from the
-/// determinism guarantee (real wall clocks; task counts tied to the worker
-/// pool, not the launch stream).
-RuntimeStats canonical(RuntimeStats s) {
-  s.resolutionTasks = 0;
-  s.resolutionWallSeconds = 0;
-  s.parallelWallSeconds = 0;
-  s.fmMemoHits = s.fmMemoMisses = s.fmMemoEvictions = 0;
-  s.specProgramHits = s.specProgramMisses = s.specProgramEvictions = 0;
-  return s;
-}
-
 /// Field-wise sum over the deterministic counters: the per-tenant resolved
 /// slices must partition the runtime's totals.
 RuntimeStats addStats(RuntimeStats a, const RuntimeStats& b) {
@@ -179,7 +167,8 @@ TEST(PipelinedLaunch, MatchesSerialPathByteForByte) {
             << "depth=" << depth << " threads=" << threads << " cache=" << cache;
         EXPECT_EQ(piped.trackers, serial.trackers)
             << "depth=" << depth << " threads=" << threads << " cache=" << cache;
-        EXPECT_EQ(canonical(piped.stats), canonical(serial.stats))
+        EXPECT_EQ(deterministicStats(piped.stats),
+                  deterministicStats(serial.stats))
             << "depth=" << depth << " threads=" << threads << " cache=" << cache;
         EXPECT_EQ(piped.machine, serial.machine)
             << "depth=" << depth << " threads=" << threads << " cache=" << cache;
@@ -197,7 +186,7 @@ TEST(PipelinedLaunch, RepeatRunsAreDeterministic) {
   StreamRun b = run();
   EXPECT_EQ(a.bytes, b.bytes);
   EXPECT_EQ(a.trackers, b.trackers);
-  EXPECT_EQ(canonical(a.stats), canonical(b.stats));
+  EXPECT_EQ(deterministicStats(a.stats), deterministicStats(b.stats));
   EXPECT_EQ(a.machine, b.machine);
   EXPECT_EQ(a.simSeconds, b.simSeconds);
 }
@@ -318,10 +307,10 @@ TEST(PipelinedLaunch, PerTenantStatsPartitionTheTotals) {
   TenantStats t1 = rt.tenantStats(1);
   EXPECT_EQ(t0.submitted, 5);
   EXPECT_EQ(t1.submitted, 3);
-  EXPECT_EQ(canonical(t0.resolved), canonical(solo0));
-  EXPECT_EQ(canonical(t1.resolved), canonical(solo1));
-  EXPECT_EQ(canonical(addStats(t0.resolved, t1.resolved)),
-            canonical(rt.stats()));
+  EXPECT_EQ(deterministicStats(t0.resolved), deterministicStats(solo0));
+  EXPECT_EQ(deterministicStats(t1.resolved), deterministicStats(solo1));
+  EXPECT_EQ(deterministicStats(addStats(t0.resolved, t1.resolved)),
+            deterministicStats(rt.stats()));
   EXPECT_EQ(s0.gather(rt), bytes0);
   EXPECT_EQ(s1.gather(rt), bytes1);
 }

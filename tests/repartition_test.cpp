@@ -246,14 +246,7 @@ Snapshot runTransitionWorkload(RuntimeConfig rc,
   Snapshot snap;
   snap.out.resize(kN);
   rt.memcpy(snap.out.data(), src, bytes, MemcpyKind::DeviceToHost);
-  snap.rstats = rt.stats();
-  snap.rstats.resolutionTasks = 0;
-  snap.rstats.resolutionWallSeconds = 0;
-  snap.rstats.parallelWallSeconds = 0;
-  snap.rstats.fmMemoHits = snap.rstats.fmMemoMisses = 0;
-  snap.rstats.fmMemoEvictions = 0;
-  snap.rstats.specProgramHits = snap.rstats.specProgramMisses = 0;
-  snap.rstats.specProgramEvictions = 0;
+  snap.rstats = deterministicStats(rt.stats());
   snap.h2d = rt.machineStats().bytesHostToDevice;
   snap.d2h = rt.machineStats().bytesDeviceToHost;
   return snap;

@@ -87,6 +87,43 @@ TEST(Runtime, LaunchValidatesUnitAxes) {
   rt->free(y);
 }
 
+// A kernel name the model does not know is bad user input: it throws at the
+// API boundary instead of aborting the process, so under multi-tenancy one
+// tenant's typo cannot take the other tenants down.
+TEST(Runtime, UnknownKernelNameThrows) {
+  RuntimeConfig cfg;
+  cfg.numGpus = 2;
+  cfg.numTenants = 2;
+  cfg.pipelineDepth = 2;
+  ir::Module mod = apps::buildBenchmarkModule();
+  Runtime rt(cfg, analysis::analyzeModule(mod), mod);
+  EXPECT_THROW(rt.partitionedKernel("no_such_kernel"), Error);
+  try {
+    rt.launch("no_such_kernel", {1, 1, 1}, {128, 1, 1}, {}, /*tenant=*/1);
+    ADD_FAILURE() << "launch of an unknown kernel did not throw";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "unknown kernel 'no_such_kernel'");
+  }
+  EXPECT_THROW(rt.submit("no_such_kernel", {1, 1, 1}, {128, 1, 1}, {}), Error);
+
+  // Both tenants keep working after the rejected launches.
+  const i64 n = 512;
+  for (TenantId t : {0, 1}) {
+    std::vector<double> x(n, 2.0), y(n, 1.0);
+    VirtualBuffer* vx = rt.malloc(n * 8, t);
+    VirtualBuffer* vy = rt.malloc(n * 8, t);
+    rt.memcpy(vx, x.data(), n * 8, MemcpyKind::HostToDevice);
+    rt.memcpy(vy, y.data(), n * 8, MemcpyKind::HostToDevice);
+    LaunchArg args[] = {LaunchArg::ofInt(n), LaunchArg::ofFloat(3.0),
+                        LaunchArg::ofBuffer(vx), LaunchArg::ofBuffer(vy)};
+    rt.launch("saxpy", {n / 128, 1, 1}, {128, 1, 1}, args, t);
+    rt.memcpy(y.data(), vy, n * 8, MemcpyKind::DeviceToHost);
+    EXPECT_EQ(y, std::vector<double>(n, 7.0)) << "tenant " << t;
+    rt.free(vx);
+    rt.free(vy);
+  }
+}
+
 TEST(Runtime, SaxpyMatchesReferenceOnManyGpuCounts) {
   const i64 n = 5000;
   for (int gpus : {1, 2, 3, 4, 7, 16}) {

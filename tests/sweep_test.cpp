@@ -184,13 +184,7 @@ TEST(EnumeratorTierSweep, ByteIdenticalAcrossTierCacheThreadsDepth) {
     rt.memcpy(got.data(), src, n * n * 8, MemcpyKind::DeviceToHost);
     // The wall-clock/task meta-counters are nondeterministic by design;
     // everything else must be tier-invariant.
-    RuntimeStats s = rt.stats();
-    s.resolutionTasks = 0;
-    s.resolutionWallSeconds = 0;
-    s.parallelWallSeconds = 0;
-    s.fmMemoHits = s.fmMemoMisses = s.fmMemoEvictions = 0;
-    s.specProgramHits = s.specProgramMisses = s.specProgramEvictions = 0;
-    *statsOut = s;
+    *statsOut = deterministicStats(rt.stats());
     return got;
   };
 
@@ -268,13 +262,7 @@ TEST(DataflowPlanningSweep, ByteIdenticalAcrossPlanningTierCacheThreadsDepth) {
     }
     std::vector<double> got(static_cast<std::size_t>(n * n));
     rt.memcpy(got.data(), src, n * n * 8, MemcpyKind::DeviceToHost);
-    RuntimeStats s = rt.stats();
-    s.resolutionTasks = 0;
-    s.resolutionWallSeconds = 0;
-    s.parallelWallSeconds = 0;
-    s.fmMemoHits = s.fmMemoMisses = s.fmMemoEvictions = 0;
-    s.specProgramHits = s.specProgramMisses = s.specProgramEvictions = 0;
-    *statsOut = s;
+    *statsOut = deterministicStats(rt.stats());
     return got;
   };
 

@@ -96,18 +96,15 @@ TEST(Trace, ExportIsValidChromeTraceJson) {
   EXPECT_EQ(phases, (std::set<std::string>{"X", "i", "C", "M"}));
 }
 
-TEST(Trace, WallSpansNestProperly) {
-  Tracer tracer;  // real timestamps: nesting is a wall-clock property
-  runHotspot(&tracer, 0);
+/// One wall-domain complete event: [b, e) in trace microseconds.
+struct Iv {
+  double b, e;
+  std::string name;
+};
 
+/// The wall-domain (pid 1) complete events of an export, grouped per tid.
+std::map<i64, std::vector<Iv>> wallSpansByThread(const Tracer& tracer) {
   json::Value root = tracer.toJson();
-  // Group wall-domain complete events per tid and check the classic
-  // balanced-interval property: spans on one thread either nest or are
-  // disjoint, never partially overlap.
-  struct Iv {
-    double b, e;
-    std::string name;
-  };
   std::map<i64, std::vector<Iv>> byTid;
   for (const json::Value& ev : root.at("traceEvents").asArray()) {
     if (ev.at("ph").asString() != "X") continue;
@@ -116,6 +113,16 @@ TEST(Trace, WallSpansNestProperly) {
     byTid[ev.at("tid").asInt()].push_back(
         Iv{ts, ts + dur, ev.at("name").asString()});
   }
+  return byTid;
+}
+
+TEST(Trace, WallSpansNestProperly) {
+  Tracer tracer;  // real timestamps: nesting is a wall-clock property
+  runHotspot(&tracer, 0);
+
+  // Check the classic balanced-interval property per thread: spans on one
+  // thread either nest or are disjoint, never partially overlap.
+  std::map<i64, std::vector<Iv>> byTid = wallSpansByThread(tracer);
   ASSERT_FALSE(byTid.empty());
   i64 launchSpans = 0, childSpans = 0;
   for (auto& [tid, ivs] : byTid) {
@@ -145,6 +152,37 @@ TEST(Trace, WallSpansNestProperly) {
   }
   EXPECT_GT(launchSpans, 0);
   EXPECT_GT(childSpans, 0);
+}
+
+// Resolution runs the same three-phase engine at every thread count; at
+// resolutionThreads = 0 the phases run inline, so the paper-mode trace still
+// splits each pass into plan acquisition (enumeration), tracker work, and the
+// ordered commit.
+TEST(Trace, SerialResolutionPassesShowTheirPhases) {
+  Tracer tracer;
+  runHotspot(&tracer, 0);
+
+  i64 passes = 0;
+  for (const auto& [tid, ivs] : wallSpansByThread(tracer)) {
+    for (const Iv& pass : ivs) {
+      if (pass.name != "sync-reads" && pass.name != "update-trackers")
+        continue;
+      ++passes;
+      std::set<std::string> children;
+      for (const Iv& c : ivs)
+        if (&c != &pass && pass.b <= c.b && c.e <= pass.e)
+          children.insert(c.name);
+      // Every Hotspot pass touches a tracker (the read sync queries the
+      // temperature and power buffers, the update records the output), so
+      // each one has a tracker phase as well.
+      for (const char* phase :
+           {"phase1:acquire-plans", "phase2:tracker-tasks", "phase3:commit"})
+        EXPECT_TRUE(children.count(phase) != 0)
+            << pass.name << " at [" << pass.b << "," << pass.e << ") lacks "
+            << phase;
+    }
+  }
+  EXPECT_GT(passes, 0);
 }
 
 TEST(Trace, PhaseBreakdownMatchesTraceAndMachineStats) {

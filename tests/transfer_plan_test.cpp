@@ -294,14 +294,7 @@ Snapshot runWorkload(RuntimeConfig rc, const analysis::ApplicationModel& model,
   rt.memcpy(snap.bcastOut.data(), vb, bytes, MemcpyKind::DeviceToHost);
   for (const VirtualBuffer* v : {vin, vw, vs, va, vb})
     snap.dumps.push_back(dump(v));
-  snap.rstats = rt.stats();
-  snap.rstats.resolutionTasks = 0;
-  snap.rstats.resolutionWallSeconds = 0;
-  snap.rstats.parallelWallSeconds = 0;
-  snap.rstats.fmMemoHits = snap.rstats.fmMemoMisses = 0;
-  snap.rstats.fmMemoEvictions = 0;
-  snap.rstats.specProgramHits = snap.rstats.specProgramMisses = 0;
-  snap.rstats.specProgramEvictions = 0;
+  snap.rstats = deterministicStats(rt.stats());
   snap.mstats = rt.machineStats();
   snap.elapsed = rt.elapsedSeconds();
   return snap;
