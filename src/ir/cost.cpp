@@ -28,11 +28,14 @@ std::optional<i64> tryEvalInt(const Expr& e, const CostCtx& ctx) {
       auto b = tryEvalInt(*e.operands()[1], ctx);
       if (!a || !b) return std::nullopt;
       switch (e.binOp()) {
-        case BinOp::Add: return *a + *b;
-        case BinOp::Sub: return *a - *b;
-        case BinOp::Mul: return *a * *b;
-        case BinOp::Div: return *b == 0 ? std::nullopt : std::optional<i64>(*a / *b);
-        case BinOp::Rem: return *b == 0 ? std::nullopt : std::optional<i64>(*a % *b);
+        // Kernel arithmetic: wrapping, and no value where execution throws.
+        case BinOp::Add: return wrapAdd(*a, *b);
+        case BinOp::Sub: return wrapSub(*a, *b);
+        case BinOp::Mul: return wrapMul(*a, *b);
+        case BinOp::Div:
+        case BinOp::Rem:
+          if (*b == 0 || (*b == -1 && *a == INT64_MIN)) return std::nullopt;
+          return e.binOp() == BinOp::Div ? *a / *b : *a % *b;
         case BinOp::Min: return std::min(*a, *b);
         case BinOp::Max: return std::max(*a, *b);
         default: return std::nullopt;
@@ -41,7 +44,7 @@ std::optional<i64> tryEvalInt(const Expr& e, const CostCtx& ctx) {
     case Expr::Kind::Unary:
       if (e.unOp() == UnOp::Neg) {
         auto a = tryEvalInt(*e.operands()[0], ctx);
-        return a ? std::optional<i64>(-*a) : std::nullopt;
+        return a ? std::optional<i64>(wrapNeg(*a)) : std::nullopt;
       }
       return std::nullopt;
     default:
@@ -91,7 +94,10 @@ void countStmt(const Stmt& s, const CostCtx& ctx, double weight, ThreadCost& out
       auto lo = tryEvalInt(*s.lo(), ctx);
       auto hi = tryEvalInt(*s.hi(), ctx);
       double trips = 1;
-      if (lo && hi) trips = static_cast<double>(std::max<i64>(0, *hi - *lo));
+      if (lo && hi)
+        trips = *hi > *lo ? static_cast<double>(static_cast<u64>(*hi) -
+                                                static_cast<u64>(*lo))
+                          : 0.0;
       countExpr(*s.lo(), ctx, weight, out);
       countExpr(*s.hi(), ctx, weight, out);
       countStmt(*s.body()[0], ctx, weight * trips, out);

@@ -1,9 +1,10 @@
 #pragma once
 
 // Functional execution of IR kernels — the stand-in for running device code
-// on a GPU.  Executes every thread of a launch grid sequentially; results are
-// bit-identical across runs, which the integration tests rely on when
-// comparing single-device and partitioned multi-device execution.
+// on a GPU.  Each kernel is lowered once to a register program
+// (ir/program.h) that then runs every thread of a launch grid sequentially;
+// results are bit-identical across runs, which the integration tests rely on
+// when comparing single-device and partitioned multi-device execution.
 
 #include <functional>
 #include <span>
@@ -39,8 +40,14 @@ struct ArgValue {
 using AccessObserver = std::function<void(
     std::size_t argIndex, bool isWrite, i64 flatIndex, std::span<const i64, 12> builtins)>;
 
-/// Executes all threads of `cfg` on `kernel`.  Throws Error on out-of-bounds
-/// accesses or malformed argument lists.  `observer` may be null.
+/// Throws Error unless `args` fits `kernel`'s parameter list: the count,
+/// scalar vs array per parameter, and each scalar's declared type.
+void checkArguments(const Kernel& kernel, std::span<const ArgValue> args);
+
+/// Executes all threads of `cfg` on `kernel` by running its lowered program
+/// (Kernel::program(), ir/program.h).  Throws Error on malformed arguments
+/// (checkArguments), out-of-bounds accesses, and integer division by zero or
+/// INT64_MIN / -1.  `observer` may be null.
 void execute(const Kernel& kernel, const LaunchConfig& cfg,
              std::span<const ArgValue> args,
              const AccessObserver& observer = nullptr);

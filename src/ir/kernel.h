@@ -4,7 +4,9 @@
 // the kernels of one application, mirroring one CUDA translation unit's
 // device code.
 
+#include <atomic>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,8 @@ struct Param {
   Type type = Type::I64;          // scalar type or array element type
   std::vector<ExprPtr> shape;     // empty for scalars and 1-D arrays
 };
+
+struct Program;  // ir/program.h
 
 class Kernel {
  public:
@@ -62,11 +66,28 @@ class Kernel {
   /// C-like rendering of the whole kernel.
   std::string str() const;
 
+  /// The kernel lowered to its register program (ir/program.h), built on
+  /// the first call and shared by every later one; safe to call from
+  /// several threads at once.  Throws Error if the kernel cannot be lowered
+  /// (and retries on the next call).
+  const Program& program() const;
+
  private:
+  // Lazily built program; a copied Kernel starts with an empty cache.
+  struct ProgramCache {
+    std::mutex mutex;
+    std::atomic<const Program*> ready{nullptr};
+    std::shared_ptr<const Program> program;
+    ProgramCache() = default;
+    ProgramCache(const ProgramCache&) {}
+    ProgramCache& operator=(const ProgramCache&) { return *this; }
+  };
+
   std::string name_;
   std::vector<Param> params_;
   StmtPtr body_;
   double loadReuse_ = 1.0;
+  mutable ProgramCache programCache_;
 };
 
 using KernelPtr = std::shared_ptr<const Kernel>;

@@ -1253,12 +1253,34 @@ Runtime::PendingLaunch Runtime::prepareLaunch(const std::string& kernelName,
                                               const Dim3& block,
                                               std::span<const LaunchArg> args,
                                               TenantId tenant) {
-  PP_ASSERT_MSG(tenant >= 0 && tenant < config_.numTenants,
-                "launch for unknown tenant");
+  if (tenant < 0 || tenant >= config_.numTenants)
+    throw Error("launch of kernel '" + kernelName + "' for unknown tenant " +
+                std::to_string(tenant));
   KernelEntry& ke = entry(kernelName);
   const KernelModel& model = *ke.model;
-  PP_ASSERT_MSG(args.size() + 6 == ke.partitioned->numParams(),
-                "kernel argument count mismatch");
+  // The same checks and messages as ir::checkArguments, plus tenancy: a
+  // launch may only reference buffers of the tenant that submitted it.
+  // Nothing is enqueued or recorded before they pass.
+  const std::string where = "kernel '" + kernelName + "'";
+  if (args.size() != model.params.size())
+    throw Error(where + " expects " + std::to_string(model.params.size()) +
+                " arguments, got " + std::to_string(args.size()));
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const analysis::ParamInfo& p = model.params[i];
+    const bool isArray = args[i].buffer != nullptr;
+    auto kind = [](bool array) { return array ? "an array" : "a scalar"; };
+    if (p.isArray != isArray)
+      throw Error(where + ": parameter '" + p.name + "' expects " +
+                  kind(p.isArray) + ", got " + kind(isArray));
+    if (!p.isArray && args[i].scalar.type != p.type)
+      throw Error(where + ": parameter '" + p.name + "' expects " +
+                  ir::typeName(p.type) + ", got " +
+                  ir::typeName(args[i].scalar.type));
+    if (isArray && args[i].buffer->tenant() != tenant)
+      throw Error(where + ": parameter '" + p.name + "' is a buffer of tenant " +
+                  std::to_string(args[i].buffer->tenant()) +
+                  ", launch is for tenant " + std::to_string(tenant));
+  }
 
   // Validate the model's launch assumptions (axes the kernel ignores).
   const i64 gridAxes[3] = {grid.x, grid.y, grid.z};
@@ -1279,15 +1301,8 @@ Runtime::PendingLaunch Runtime::prepareLaunch(const std::string& kernelName,
   pl.args.assign(args.begin(), args.end());
 
   // Scalars for the enumerators: i64 scalar args in declaration order.
-  // The tenancy invariant is checked in the same walk: a launch may only
-  // reference buffers of the tenant that submitted it.
   for (std::size_t i = 0; i < args.size(); ++i) {
     const analysis::ParamInfo& p = model.params[i];
-    PP_ASSERT_MSG(p.isArray == (args[i].buffer != nullptr),
-                  "scalar/array launch argument mismatch");
-    if (args[i].buffer != nullptr)
-      PP_ASSERT_MSG(args[i].buffer->tenant() == tenant,
-                    "launch references another tenant's buffer");
     if (!p.isArray && p.type == ir::Type::I64)
       pl.scalars.push_back(args[i].scalar.i);
   }

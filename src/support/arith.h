@@ -38,6 +38,27 @@ inline i64 checkedMul(i64 a, i64 b) {
 /// Negates with overflow detection (INT64_MIN has no negation).
 inline i64 checkedNeg(i64 a) { return checkedSub(0, a); }
 
+// Two's-complement wrapping arithmetic, computed in unsigned so overflow is
+// defined: the semantics of kernel (device) integer arithmetic.
+inline i64 wrapAdd(i64 a, i64 b) {
+  return static_cast<i64>(static_cast<u64>(a) + static_cast<u64>(b));
+}
+inline i64 wrapSub(i64 a, i64 b) {
+  return static_cast<i64>(static_cast<u64>(a) - static_cast<u64>(b));
+}
+inline i64 wrapMul(i64 a, i64 b) {
+  return static_cast<i64>(static_cast<u64>(a) * static_cast<u64>(b));
+}
+inline i64 wrapNeg(i64 a) { return static_cast<i64>(0 - static_cast<u64>(a)); }
+
+/// f64 -> i64 truncation toward zero, defined on every input: NaN and
+/// out-of-range values give INT64_MIN (the x86-64 cvttsd2si result).
+inline i64 truncToI64(double x) {
+  if (!(x >= -9223372036854775808.0 && x < 9223372036854775808.0))
+    return INT64_MIN;
+  return static_cast<i64>(x);
+}
+
 /// Greatest common divisor of |a| and |b|; gcd(0, 0) == 0.
 i64 gcd(i64 a, i64 b);
 

@@ -9,6 +9,7 @@
 #include "ir/builder.h"
 #include "ir/cost.h"
 #include "ir/interp.h"
+#include "ir/program.h"
 #include "ir/transform.h"
 #include "ir/verify.h"
 
@@ -91,6 +92,220 @@ TEST(IrInterp, SequentialLoopAndAccumulator) {
     for (i64 c = 0; c < ncols; ++c) want += static_cast<double>(r * ncols + c);
     EXPECT_DOUBLE_EQ(out[static_cast<std::size_t>(r)], want);
   }
+}
+
+// -- lowered-program semantics (DESIGN.md "Functional execution") ----------
+
+struct Access {
+  std::size_t arg;
+  bool isWrite;
+  i64 index;
+  bool operator==(const Access&) const = default;
+};
+
+/// Runs a one-thread launch of `body` over (x: f64[len], xi: i64[len]) and
+/// records every observed access.
+std::vector<Access> runObserved(const StmtPtr& body, std::vector<double>& x,
+                                std::vector<i64>& xi) {
+  Kernel k("probe", {{"x", true, Type::F64, {}}, {"xi", true, Type::I64, {}}}, body);
+  std::vector<Access> seen;
+  AccessObserver obs = [&](std::size_t arg, bool isWrite, i64 idx,
+                           std::span<const i64, 12>) {
+    seen.push_back({arg, isWrite, idx});
+  };
+  ArgValue args[] = {ArgValue::ofBuffer(x.data(), static_cast<i64>(x.size())),
+                     ArgValue::ofBuffer(xi.data(), static_cast<i64>(xi.size()))};
+  execute(k, LaunchConfig{{1, 1, 1}, {1, 1, 1}}, args, obs);
+  return seen;
+}
+
+ExprPtr loadX(i64 i) { return Expr::load(0, Type::F64, iconst(i)); }
+ExprPtr loadXi(i64 i) { return Expr::load(1, Type::I64, iconst(i)); }
+
+TEST(IrInterp, StoreIsObservedBeforeItsValueIsEvaluated) {
+  // x[0] = x[1] + 1: the index, then the store's observer call and bounds
+  // check, then the value (whose load is therefore observed second).
+  std::vector<double> x = {5.0, 7.0};
+  std::vector<i64> xi = {0};
+  auto seen = runObserved(Stmt::store(0, iconst(0), loadX(1) + fconst(1.0)), x, xi);
+  EXPECT_EQ(seen, (std::vector<Access>{{0, true, 0}, {0, false, 1}}));
+  EXPECT_EQ(x[0], 8.0);
+
+  // An out-of-bounds store throws before its value is evaluated.
+  EXPECT_THROW(runObserved(Stmt::store(0, iconst(2), loadX(1)), x, xi), Error);
+}
+
+TEST(IrInterp, SelectEvaluatesOnlyTheTakenArm) {
+  // The untaken arm loads far out of bounds; it must not run.
+  std::vector<double> x = {0.0};
+  std::vector<i64> xi = {1};
+  auto seen = runObserved(
+      Stmt::store(0, iconst(0),
+                  Expr::select(loadXi(0), fconst(3.0), loadX(100))),
+      x, xi);
+  EXPECT_EQ(x[0], 3.0);
+  EXPECT_EQ(seen, (std::vector<Access>{{0, true, 0}, {1, false, 0}}));
+}
+
+TEST(IrInterp, AndOrEvaluateBothOperands) {
+  // No short circuit: the right operand's out-of-bounds load throws even
+  // when the left operand already decides the result.
+  std::vector<double> x = {0.0};
+  std::vector<i64> xi = {0};
+  for (BinOp op : {BinOp::And, BinOp::Or}) {
+    ExprPtr left = iconst(op == BinOp::And ? 0 : 1);
+    StmtPtr s = Stmt::store(1, iconst(0), Expr::binary(op, left, loadXi(100)));
+    try {
+      runObserved(s, x, xi);
+      ADD_FAILURE() << binOpName(op) << " short-circuited";
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(),
+                   "out-of-bounds load in kernel 'probe' on 'xi' index 100 of 1");
+    }
+  }
+}
+
+TEST(IrInterp, ShadowedLetsInNestedBlocks) {
+  // Built without the verifier, which rejects shadowing; execution scopes
+  // each let to its block like C does.
+  auto a = [] { return Expr::local("a", Type::I64); };
+  auto put = [](i64 i, ExprPtr v) {
+    return Stmt::store(1, iconst(i), std::move(v));
+  };
+  StmtPtr body = Stmt::block({
+      Stmt::let("a", iconst(1)),
+      Stmt::block({
+          Stmt::let("a", iconst(2)),
+          put(0, a()),
+          Stmt::block({Stmt::let("a", a() + iconst(10)), put(1, a())}),
+          put(2, a()),
+      }),
+      put(3, a()),
+  });
+  std::vector<double> x = {0.0};
+  std::vector<i64> xi(4, -1);
+  runObserved(body, x, xi);
+  EXPECT_EQ(xi, (std::vector<i64>{2, 12, 2, 1}));
+}
+
+TEST(IrInterp, AssignInsideLoopsWritesTheEnclosingLocal) {
+  auto acc = [] { return Expr::local("acc", Type::I64); };
+  auto j = [] { return Expr::local("j", Type::I64); };
+  auto m = [] { return Expr::local("m", Type::I64); };
+  StmtPtr body = Stmt::block({
+      // acc accumulates through a let scoped to each iteration.
+      Stmt::let("acc", iconst(0)),
+      Stmt::forLoop("j", iconst(0), iconst(4),
+                    Stmt::block({Stmt::let("t", j() * iconst(2)),
+                                 Stmt::assign("acc", acc() + Expr::local("t", Type::I64))})),
+      Stmt::store(1, iconst(0), acc()),
+      // Assigning the loop variable does not change the trip sequence.
+      Stmt::forLoop("j", iconst(1), iconst(4),
+                    Stmt::block({Stmt::store(1, j(), j()),
+                                 Stmt::assign("j", iconst(100))})),
+      // The bound is evaluated once: growing m inside the loop adds no trips.
+      Stmt::let("m", iconst(2)),
+      Stmt::forLoop("j", iconst(0), m(),
+                    Stmt::assign("m", m() + iconst(1))),
+      Stmt::store(1, iconst(4), m()),
+  });
+  std::vector<double> x = {0.0};
+  std::vector<i64> xi(5, -1);
+  runObserved(body, x, xi);
+  EXPECT_EQ(xi, (std::vector<i64>{12, 1, 2, 3, 4}));
+}
+
+TEST(IrInterp, ZeroTripLoopsRunNoIterations) {
+  // Both bodies would store out of bounds if they ran once.
+  StmtPtr body = Stmt::block({
+      Stmt::forLoop("j", iconst(5), iconst(2),
+                    Stmt::store(0, iconst(99), fconst(1.0))),
+      Stmt::forLoop("j", iconst(3), iconst(3),
+                    Stmt::store(0, iconst(99), fconst(1.0))),
+      Stmt::store(0, iconst(0), fconst(2.0)),
+  });
+  std::vector<double> x = {0.0};
+  std::vector<i64> xi = {0};
+  EXPECT_EQ(runObserved(body, x, xi), (std::vector<Access>{{0, true, 0}}));
+  EXPECT_EQ(x[0], 2.0);
+}
+
+TEST(IrInterp, IntegerArithmeticWrapsAndDivisionFaultsThrow) {
+  // xi[0] = xi[1] + xi[2] wraps; xi[3] = xi[1] / xi[2] may fault.
+  StmtPtr body = Stmt::block({
+      Stmt::store(1, iconst(0), loadXi(1) + loadXi(2)),
+      Stmt::store(1, iconst(3), loadXi(1) / loadXi(2)),
+  });
+  std::vector<double> x = {0.0};
+  std::vector<i64> xi = {0, INT64_MAX, 1, 0};
+  runObserved(body, x, xi);
+  EXPECT_EQ(xi[0], INT64_MIN);
+  EXPECT_EQ(xi[3], INT64_MAX);
+
+  auto divError = [&](i64 a, i64 b, BinOp op) -> std::string {
+    std::vector<i64> v = {0, a, b, 0};
+    try {
+      runObserved(Stmt::store(1, iconst(3), Expr::binary(op, loadXi(1), loadXi(2))),
+                  x, v);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(divError(7, 0, BinOp::Div), "integer division by zero in kernel 'probe'");
+  EXPECT_EQ(divError(7, 0, BinOp::Rem), "integer remainder by zero in kernel 'probe'");
+  EXPECT_EQ(divError(INT64_MIN, -1, BinOp::Div),
+            "integer division overflow (INT64_MIN / -1) in kernel 'probe'");
+  EXPECT_EQ(divError(INT64_MIN, -1, BinOp::Rem),
+            "integer remainder overflow (INT64_MIN / -1) in kernel 'probe'");
+  EXPECT_EQ(divError(-7, 2, BinOp::Rem), "no error");
+}
+
+TEST(IrInterp, MalformedArgumentsThrow) {
+  KernelPtr k = makeSaxpy();
+  std::vector<double> x(4), y(4);
+  auto message = [&](std::vector<ArgValue> args) -> std::string {
+    try {
+      execute(*k, LaunchConfig{{1, 1, 1}, {4, 1, 1}}, args);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  const ArgValue bx = ArgValue::ofBuffer(x.data(), 4), by = ArgValue::ofBuffer(y.data(), 4);
+  EXPECT_EQ(message({ArgValue::ofInt(4), ArgValue::ofFloat(2.0), bx}),
+            "kernel 'saxpy' expects 4 arguments, got 3");
+  EXPECT_EQ(message({ArgValue::ofInt(4), bx, bx, by}),
+            "kernel 'saxpy': parameter 'a' expects a scalar, got an array");
+  EXPECT_EQ(message({ArgValue::ofInt(4), ArgValue::ofFloat(2.0), ArgValue::ofInt(0), by}),
+            "kernel 'saxpy': parameter 'x' expects an array, got a scalar");
+  EXPECT_EQ(message({ArgValue::ofFloat(4.0), ArgValue::ofFloat(2.0), bx, by}),
+            "kernel 'saxpy': parameter 'n' expects i64, got f64");
+  EXPECT_EQ(message({ArgValue::ofInt(4), ArgValue::ofFloat(2.0), bx, by}), "no error");
+}
+
+TEST(IrInterp, KernelsTheLoweringCannotTypeThrow) {
+  // The tree walker aborted on these when it reached them; the lowering
+  // rejects them up front with an Error, and keeps rejecting them.
+  Kernel k("ghost", {{"x", true, Type::F64, {}}},
+           Stmt::store(0, Expr::local("g", Type::I64), fconst(0.0)));
+  std::vector<double> x(1);
+  ArgValue args[] = {ArgValue::ofBuffer(x.data(), 1)};
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    try {
+      execute(k, LaunchConfig{{1, 1, 1}, {1, 1, 1}}, args);
+      ADD_FAILURE() << "undefined local accepted";
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), "kernel 'ghost': use of undefined local 'g'");
+    }
+  }
+}
+
+TEST(IrInterp, ProgramIsBuiltOnceAndShared) {
+  KernelPtr k = makeSaxpy();
+  const Program& p = k->program();
+  EXPECT_EQ(&p, &k->program());
+  EXPECT_EQ(p.threadCode.back().op, Op::Halt);
 }
 
 TEST(IrVerify, RejectsUndefinedLocal) {

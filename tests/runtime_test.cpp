@@ -12,6 +12,7 @@
 #include "apps/drivers.h"
 #include "apps/kernels.h"
 #include "apps/reference.h"
+#include "ir/builder.h"
 #include "rt/cuda_api.h"
 #include "rt/runtime.h"
 #include "support/rng.h"
@@ -122,6 +123,114 @@ TEST(Runtime, UnknownKernelNameThrows) {
     rt.free(vx);
     rt.free(vy);
   }
+}
+
+// Malformed launch arguments are bad user input too.  Each of the four
+// faults throws before anything is enqueued, naming the kernel, parameter,
+// and expected and actual values; a pipelined two-tenant runtime keeps
+// serving both tenants afterwards.
+TEST(Runtime, BadLaunchArgumentsThrow) {
+  RuntimeConfig cfg;
+  cfg.numGpus = 2;
+  cfg.numTenants = 2;
+  cfg.pipelineDepth = 2;
+  ir::Module mod = apps::buildBenchmarkModule();
+  Runtime rt(cfg, analysis::analyzeModule(mod), mod);
+  const i64 n = 512;
+  VirtualBuffer* x0 = rt.malloc(n * 8, 0);
+  VirtualBuffer* y0 = rt.malloc(n * 8, 0);
+  VirtualBuffer* x1 = rt.malloc(n * 8, 1);
+  auto message = [&](std::vector<LaunchArg> args, bool viaSubmit) -> std::string {
+    try {
+      if (viaSubmit)
+        rt.submit("saxpy", {n / 128, 1, 1}, {128, 1, 1}, args, 0);
+      else
+        rt.launch("saxpy", {n / 128, 1, 1}, {128, 1, 1}, args, 0);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  for (bool viaSubmit : {false, true}) {
+    EXPECT_EQ(message({LaunchArg::ofInt(n), LaunchArg::ofFloat(3.0),
+                       LaunchArg::ofBuffer(x0)},
+                      viaSubmit),
+              "kernel 'saxpy' expects 4 arguments, got 3");
+    EXPECT_EQ(message({LaunchArg::ofInt(n), LaunchArg::ofBuffer(x0),
+                       LaunchArg::ofBuffer(x0), LaunchArg::ofBuffer(y0)},
+                      viaSubmit),
+              "kernel 'saxpy': parameter 'a' expects a scalar, got an array");
+    EXPECT_EQ(message({LaunchArg::ofInt(n), LaunchArg::ofFloat(3.0),
+                       LaunchArg::ofInt(0), LaunchArg::ofBuffer(y0)},
+                      viaSubmit),
+              "kernel 'saxpy': parameter 'x' expects an array, got a scalar");
+    EXPECT_EQ(message({LaunchArg::ofFloat(512.0), LaunchArg::ofFloat(3.0),
+                       LaunchArg::ofBuffer(x0), LaunchArg::ofBuffer(y0)},
+                      viaSubmit),
+              "kernel 'saxpy': parameter 'n' expects i64, got f64");
+    EXPECT_EQ(message({LaunchArg::ofInt(n), LaunchArg::ofFloat(3.0),
+                       LaunchArg::ofBuffer(x1), LaunchArg::ofBuffer(y0)},
+                      viaSubmit),
+              "kernel 'saxpy': parameter 'x' is a buffer of tenant 1, launch "
+              "is for tenant 0");
+  }
+  EXPECT_EQ(rt.stats().launches, 0);
+  rt.free(x0);
+  rt.free(y0);
+  rt.free(x1);
+
+  // Both tenants keep working after the rejected launches.
+  for (TenantId t : {0, 1}) {
+    std::vector<double> x(n, 2.0), y(n, 1.0);
+    VirtualBuffer* vx = rt.malloc(n * 8, t);
+    VirtualBuffer* vy = rt.malloc(n * 8, t);
+    rt.memcpy(vx, x.data(), n * 8, MemcpyKind::HostToDevice);
+    rt.memcpy(vy, y.data(), n * 8, MemcpyKind::HostToDevice);
+    LaunchArg args[] = {LaunchArg::ofInt(n), LaunchArg::ofFloat(3.0),
+                        LaunchArg::ofBuffer(vx), LaunchArg::ofBuffer(vy)};
+    rt.submit("saxpy", {n / 128, 1, 1}, {128, 1, 1}, args, t);
+    rt.memcpy(y.data(), vy, n * 8, MemcpyKind::DeviceToHost);
+    EXPECT_EQ(y, std::vector<double>(n, 7.0)) << "tenant " << t;
+    rt.free(vx);
+    rt.free(vy);
+  }
+}
+
+// Integer division by zero inside a kernel is an Error thrown out of the
+// Functional launch, not an abort; the runtime stays usable.
+TEST(Runtime, KernelDivisionByZeroThrows) {
+  ir::KernelBuilder b("divide");
+  auto n = b.scalar("n", ir::Type::I64);
+  auto d = b.scalar("d", ir::Type::I64);
+  auto out = b.array("out", ir::Type::F64, {n});
+  auto i = b.let("i", b.globalId(ir::Axis::X));
+  b.iff(ir::lt(i, n), [&] { b.store(out, i, ir::Expr::cast(ir::Type::F64, i / d)); });
+  ir::Module mod = apps::buildBenchmarkModule();
+  mod.addKernel(b.build());
+  RuntimeConfig cfg;
+  cfg.numGpus = 2;
+  Runtime rt(cfg, analysis::analyzeModule(mod), mod);
+
+  const i64 len = 256;
+  VirtualBuffer* vout = rt.malloc(len * 8);
+  auto divide = [&](i64 divisor) {
+    LaunchArg args[] = {LaunchArg::ofInt(len), LaunchArg::ofInt(divisor),
+                        LaunchArg::ofBuffer(vout)};
+    rt.launch("divide", {len / 128, 1, 1}, {128, 1, 1}, args);
+  };
+  try {
+    divide(0);
+    ADD_FAILURE() << "division by zero did not throw";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "integer division by zero in kernel 'divide__part'");
+  }
+
+  divide(3);
+  std::vector<double> got(len);
+  rt.memcpy(got.data(), vout, len * 8, MemcpyKind::DeviceToHost);
+  for (i64 k = 0; k < len; ++k)
+    EXPECT_EQ(got[static_cast<std::size_t>(k)], static_cast<double>(k / 3)) << k;
+  rt.free(vout);
 }
 
 TEST(Runtime, SaxpyMatchesReferenceOnManyGpuCounts) {
