@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench/bench_util.h"
 #include "rt/tracker.h"
 #include "support/rng.h"
 
@@ -70,4 +71,4 @@ BENCHMARK_TEMPLATE(BM_Tracker, SegmentTrackerStdMap)->Arg(4)->Arg(16)->Name("tra
 BENCHMARK_TEMPLATE(BM_TrackerFragmented, SegmentTracker)->Name("tracker_btree_fragmented");
 BENCHMARK_TEMPLATE(BM_TrackerFragmented, SegmentTrackerStdMap)->Name("tracker_stdmap_fragmented");
 
-BENCHMARK_MAIN();
+PP_MICROBENCH_MAIN()

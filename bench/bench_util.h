@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "analysis/analyze.h"
 #include "apps/drivers.h"
@@ -166,6 +167,48 @@ inline double parseItersScale(int argc, char** argv) {
   }
   return 1.0;
 }
+
+/// Command line for the google-benchmark micros: argv without any
+/// `--iters-scale=<f>` (google-benchmark rejects flags it does not know).  A
+/// scale below 1 shortens each benchmark's minimum measuring time (0.5 s by
+/// default) in proportion, floored at 1 ms, unless --benchmark_min_time is
+/// given explicitly.
+inline std::vector<std::string> microbenchArgs(int argc, char** argv) {
+  const char* scalePrefix = "--iters-scale=";
+  const char* minTimePrefix = "--benchmark_min_time=";
+  std::vector<std::string> args;
+  bool minTimeGiven = false;
+  for (int i = 0; i < argc; ++i) {
+    if (i > 0 && std::strncmp(argv[i], scalePrefix, std::strlen(scalePrefix)) == 0)
+      continue;
+    if (std::strncmp(argv[i], minTimePrefix, std::strlen(minTimePrefix)) == 0)
+      minTimeGiven = true;
+    args.emplace_back(argv[i]);
+  }
+  const double scale = parseItersScale(argc, argv);
+  if (scale < 1.0 && !minTimeGiven) {
+    const double seconds = scale * 0.5 > 0.001 ? scale * 0.5 : 0.001;
+    args.push_back(minTimePrefix + std::to_string(seconds));
+  }
+  return args;
+}
+
+/// main() of the google-benchmark micros: BENCHMARK_MAIN() over
+/// microbenchArgs(), so they accept --iters-scale like every other bench.
+/// Include <benchmark/benchmark.h> before expanding it.
+#define PP_MICROBENCH_MAIN()                                              \
+  int main(int argc, char** argv) {                                       \
+    std::vector<std::string> args =                                       \
+        ::polypart::benchutil::microbenchArgs(argc, argv);                \
+    std::vector<char*> ptrs;                                              \
+    for (std::string& a : args) ptrs.push_back(a.data());                 \
+    int n = static_cast<int>(ptrs.size());                                \
+    ::benchmark::Initialize(&n, ptrs.data());                             \
+    if (::benchmark::ReportUnrecognizedArguments(n, ptrs.data())) return 1; \
+    ::benchmark::RunSpecifiedBenchmarks();                                \
+    ::benchmark::Shutdown();                                              \
+    return 0;                                                             \
+  }
 
 inline void printHeader(const char* what, const char* paperRef) {
   std::printf("==============================================================\n");

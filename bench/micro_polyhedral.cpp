@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench/bench_util.h"
 #include "analysis/analyze.h"
 #include "apps/kernels.h"
 #include "codegen/enumerator.h"
@@ -191,4 +192,4 @@ BENCHMARK(BM_InjectivityCheck)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+PP_MICROBENCH_MAIN()

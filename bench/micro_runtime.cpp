@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench/bench_util.h"
 #include "analysis/analyze.h"
 #include "apps/kernels.h"
 #include "rt/btree.h"
@@ -90,4 +91,4 @@ BENCHMARK(BM_MemcpyGather)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+PP_MICROBENCH_MAIN()

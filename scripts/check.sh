@@ -3,7 +3,7 @@
 # and a TSan configuration covering the parallel resolution engine — the same
 # recipes .claude/skills/verify/SKILL.md documents, run back to back.
 #
-#   scripts/check.sh            # everything (tier-1, perfbench, asan, tsan, bytecode, dataflow, repartition, irregular)
+#   scripts/check.sh            # everything (tier-1, benchsmoke, perfbench, asan, tsan, bytecode, dataflow, repartition, irregular)
 #   scripts/check.sh tier1      # just the default build + full test suite
 #   scripts/check.sh perfbench  # the benchmark harness's own unit tests
 #   scripts/check.sh asan tsan  # just the sanitizer configurations
@@ -11,6 +11,7 @@
 #   scripts/check.sh dataflow   # sanitizer trees re-run with dataflow planning on
 #   scripts/check.sh repartition # sanitizer trees re-run with repartitioning allowed
 #   scripts/check.sh irregular  # sanitizer trees re-run with the inspector-executor on
+#   scripts/check.sh benchsmoke # every build/bench binary at --iters-scale=0.02
 #
 # Each configuration uses its own build tree (build/, build-asan/, build-tsan/;
 # all gitignored).  TSan cannot be combined with ASan in one tree — the
@@ -20,7 +21,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 jobs=$(nproc 2>/dev/null || echo 4)
 stages=("$@")
-[ ${#stages[@]} -eq 0 ] && stages=(tier1 perfbench asan tsan bytecode dataflow repartition irregular)
+[ ${#stages[@]} -eq 0 ] && stages=(tier1 benchsmoke perfbench asan tsan bytecode dataflow repartition irregular)
 
 run() {
   echo
@@ -183,8 +184,25 @@ for stage in "${stages[@]}"; do
       run env POLYPART_INSPECTOR_EXECUTOR=1 \
         ctest --test-dir build-tsan -j "$jobs" --output-on-failure -L fuzz
       ;;
+    benchsmoke)
+      # Every bench binary must run to completion at a tiny scale: the
+      # figure benches and the google-benchmark micros alike accept
+      # --iters-scale (bench/bench_util.h).  Run from a scratch directory,
+      # because the figure benches write BENCH_<name>.json into the working
+      # directory.
+      run cmake -B build -S .
+      run cmake --build build -j "$jobs"
+      smoke_dir=$(mktemp -d /tmp/polypart-benchsmoke.XXXXXX)
+      for bench in build/bench/*; do
+        [ -f "$bench" ] && [ -x "$bench" ] || continue
+        echo "-- $(basename "$bench")"
+        (cd "$smoke_dir" && "$OLDPWD/$bench" --iters-scale=0.02 > /dev/null) ||
+          { echo "benchsmoke: $(basename "$bench") exited nonzero"; exit 1; }
+      done
+      rm -rf "$smoke_dir"
+      ;;
     *)
-      echo "unknown stage '$stage' (expected: tier1, perfbench, asan, tsan, bytecode, dataflow, repartition, irregular)" >&2
+      echo "unknown stage '$stage' (expected: tier1, perfbench, asan, tsan, bytecode, dataflow, repartition, irregular, benchsmoke)" >&2
       exit 2
       ;;
   esac

@@ -144,6 +144,7 @@ Enumerator::Enumerator(const KernelModel& model, const ArrayModel& array,
   }
 
   Space scanSpace = Space::set(extMapSpace.paramNames(), extMapSpace.outNames());
+  pset::Set scanSets(scanSpace);
   for (const BasicSet& part : accessMap.parts()) {
     BasicSet constrained = part.alignToSpace(extMapSpace).intersect(box);
     // Project the six thread-grid inputs away; the image over the array
@@ -157,6 +158,7 @@ Enumerator::Enumerator(const KernelModel& model, const ArrayModel& array,
     BasicSet scanSet(scanSpace);
     for (const Constraint& c : p.set.constraints()) scanSet.add(c);
     nests_.push_back(pset::buildScan(scanSet));
+    scanSets.addPart(std::move(scanSet));
   }
 
   if (isWrite_ && !exact_)
@@ -179,10 +181,28 @@ Enumerator::Enumerator(const KernelModel& model, const ArrayModel& array,
     if (hullable_) exact_ = false;
   }
 
+  // A multi-disjunct write may not be over-approximated, but when its simple
+  // hull provably equals the union (a stencil's interior plus border strips
+  // tile the grid) the hull *is* the write set: one convex nest that
+  // full-row coalescing walks in O(1) per partition (see enumerate()).
+  if (isWrite_ && nests_.size() > 1) {
+    try {
+      if (std::optional<BasicSet> hull = scanSets.exactHull())
+        hullNest_ = pset::buildScan(*hull);
+    } catch (const Error&) {
+      // The hull only speeds enumeration up: a proof that overflows, or a
+      // hull without syntactic bounds on some dimension, leaves the
+      // per-disjunct walk in place.
+    }
+  }
+
   // Compile the bytecode tier once per enumerator; copies share the program
   // and the specialized-program cache (both are reached through shared_ptr
-  // and the cache is internally synchronized).
-  program_ = std::make_shared<const bc::Program>(bc::compile(nests_));
+  // and the cache is internally synchronized).  The hull nest, when proven,
+  // is compiled after the disjuncts, at index nests_.size().
+  std::vector<ScanNest> compiled = nests_;
+  if (hullNest_) compiled.push_back(*hullNest_);
+  program_ = std::make_shared<const bc::Program>(bc::compile(compiled));
   specCache_ = std::make_shared<SpecCache>();
 }
 
@@ -309,6 +329,9 @@ struct EmitCtx {
   std::span<const i64> strides;  // per level; strides[last] == 1
   std::span<const i64> dims;     // extent per level; <= 0 when unknown
   bool coalesce;
+  /// Count-only walk: accumulate logicalRows exactly as an emitting walk
+  /// would, but emit nothing (a uniform tail then costs O(1), not O(rows)).
+  bool countOnly;
   const EmitFn& emit;
   support::SmallVec<i64, 8> coords;
   i64 logicalRows = 0;
@@ -358,7 +381,7 @@ struct EmitCtx {
     if (lo > hi) return;
     if (level + 1 == numLevels()) {
       ++logicalRows;
-      emit(checkedAdd(base, lo), checkedAdd(base, hi + 1));
+      if (!countOnly) emit(checkedAdd(base, lo), checkedAdd(base, hi + 1));
       return;
     }
     if (coalesce && tailIsFullRows(level)) {
@@ -368,8 +391,9 @@ struct EmitCtx {
       for (std::size_t j = level + 1; j + 1 < numLevels(); ++j)
         rows = checkedMul(rows, dims[j]);
       logicalRows += rows;
-      emit(checkedAdd(base, checkedMul(lo, strides[level])),
-           checkedAdd(base, checkedMul(hi + 1, strides[level])));
+      if (!countOnly)
+        emit(checkedAdd(base, checkedMul(lo, strides[level])),
+             checkedAdd(base, checkedMul(hi + 1, strides[level])));
       return;
     }
     // Uniform tail: the innermost bounds do not depend on this loop
@@ -380,6 +404,7 @@ struct EmitCtx {
       i64 ihi = upperAt(level + 1);
       if (ilo > ihi) return;
       logicalRows += hi - lo + 1;
+      if (countOnly) return;
       for (i64 v = lo; v <= hi; ++v) {
         i64 rowBase = checkedAdd(base, checkedMul(v, strides[level]));
         emit(rowBase + ilo, rowBase + ihi + 1);
@@ -428,37 +453,61 @@ void Enumerator::enumerate(const PartitionTuple& partition,
   i64 logicalRows = 0;
   support::SmallVec<std::size_t, 8> runEnds;  // ranges.size() after each nest
 
-  auto emitWith = [&](const auto& ev) {
+  // Walks one nest (or a read hull over several) and returns its logical
+  // row count; `emitRanges = false` is the count-only walk.
+  auto walk = [&](const auto& ev, bool emitRanges) {
     EmitCtx<std::decay_t<decltype(ev)>, decltype(collect)> ctx{
-        ev, {strides.data(), strides.size()}, {dims.data(), dims.size()},
-        coalesce, collect, {}, 0};
+        ev,       {strides.data(), strides.size()}, {dims.data(), dims.size()},
+        coalesce, !emitRanges, collect, {}, 0};
     ctx.run(0, 0);
-    logicalRows += ctx.logicalRows;
     if (ranges.size() > (runEnds.empty() ? 0 : runEnds.back()))
       runEnds.push_back(ranges.size());
+    return ctx.logicalRows;
+  };
+
+  // Shared by the tiers: `live` are the disjunct nests whose guards pass,
+  // `hull` the proven write hull when it is used and live, and `evalOver`
+  // builds the tier's bound evaluator over a span of nests.  The write hull
+  // emits the union's ranges in one nest; logicalRows still comes from the
+  // disjuncts (count-only), so the work accounting matches the per-disjunct
+  // walk exactly.
+  auto walkAll = [&](const auto& live, const auto* hull, const auto& evalOver) {
+    using NestPtr = std::decay_t<decltype(live[0])>;
+    auto one = [](const NestPtr& nest) {
+      return std::span<const NestPtr>(&nest, 1);
+    };
+    if (coalesce && hullable_ && live.size() > 1) {
+      // Rectangular hull over the live disjuncts (reads only).
+      logicalRows += walk(evalOver({live.data(), live.size()}), true);
+      return;
+    }
+    for (const NestPtr& nest : live)
+      logicalRows += walk(evalOver(one(nest)), hull == nullptr);
+    if (hull) walk(evalOver(one(hull)), true);
+  };
+  // The hull's guards are evaluated after the disjuncts', and only when a
+  // disjunct is live (an empty union has nothing to emit).
+  const std::size_t numDisjuncts = nests_.size();
+  auto hullIfUsed = [&](std::size_t numLive, auto* nest, const auto& guardsPass) {
+    return coalesce && nest && numLive > 0 && guardsPass(*nest) ? nest : nullptr;
   };
 
   if (tier == EnumTier::Interpret) {
-    support::SmallVec<const ScanNest*, 8> live;
-    for (const ScanNest& nest : nests_) {
-      bool ok = true;
-      // Guards short-circuit in order; later guards of a dead nest are
-      // never evaluated (the tiers preserve this, including its lazy
-      // overflow behaviour).
+    // Guards short-circuit in order; later guards of a dead nest are never
+    // evaluated (the tiers preserve this, including its lazy overflow
+    // behaviour).
+    auto guardsPass = [&](const ScanNest& nest) {
       for (const AstExpr& g : nest.guards)
-        if (g.eval(pspan, {}) < 0) {
-          ok = false;
-          break;
-        }
-      if (ok) live.push_back(&nest);
-    }
-    if (coalesce && hullable_ && live.size() > 1) {
-      // Rectangular hull over the live disjuncts (reads only).
-      emitWith(AstEval{{live.data(), live.size()}, pspan});
-    } else {
-      for (const ScanNest* nest : live)
-        emitWith(AstEval{std::span<const ScanNest* const>(&nest, 1), pspan});
-    }
+        if (g.eval(pspan, {}) < 0) return false;
+      return true;
+    };
+    support::SmallVec<const ScanNest*, 8> live;
+    for (const ScanNest& nest : nests_)
+      if (guardsPass(nest)) live.push_back(&nest);
+    walkAll(
+        live,
+        hullIfUsed(live.size(), hullNest_ ? &*hullNest_ : nullptr, guardsPass),
+        [&](std::span<const ScanNest* const> ns) { return AstEval{ns, pspan}; });
   } else {
     std::shared_ptr<const bc::Program> specialized;
     const bc::Program* prog = program_.get();
@@ -477,24 +526,21 @@ void Enumerator::enumerate(const PartitionTuple& partition,
       regsHeap.resize(prog->numRegs);
       regs = regsHeap.data();
     }
-    support::SmallVec<const bc::CompiledNest*, 8> live;
-    for (const bc::CompiledNest& nest : prog->nests) {
-      bool ok = true;
+    auto guardsPass = [&](const bc::CompiledNest& nest) {
       for (const bc::CompiledExpr& g : nest.guards)
-        if (prog->eval(g, pspan, {}, regs) < 0) {
-          ok = false;
-          break;
-        }
-      if (ok) live.push_back(&nest);
-    }
-    if (coalesce && hullable_ && live.size() > 1) {
-      emitWith(VmEval{*prog, {live.data(), live.size()}, pspan, regs});
-    } else {
-      for (const bc::CompiledNest* nest : live)
-        emitWith(VmEval{*prog,
-                        std::span<const bc::CompiledNest* const>(&nest, 1),
-                        pspan, regs});
-    }
+        if (prog->eval(g, pspan, {}, regs) < 0) return false;
+      return true;
+    };
+    support::SmallVec<const bc::CompiledNest*, 8> live;
+    for (std::size_t i = 0; i < numDisjuncts; ++i)
+      if (guardsPass(prog->nests[i])) live.push_back(&prog->nests[i]);
+    walkAll(
+        live,
+        hullIfUsed(live.size(), hullNest_ ? &prog->nests[numDisjuncts] : nullptr,
+                   guardsPass),
+        [&](std::span<const bc::CompiledNest* const> ns) {
+          return VmEval{*prog, ns, pspan, regs};
+        });
   }
 
   // Establish sorted order.  Every nest walks its loops in increasing order,
@@ -599,17 +645,26 @@ std::string Enumerator::emitC() const {
     }
     out += "  const int64_t " + paramNames_[i] + " = " + src + ";\n";
   }
-  for (std::size_t d = 0; d < nests_.size(); ++d) {
-    out += "  // Disjunct " + std::to_string(d) + "\n";
-    std::string body = pset::scanToC(nests_[d], paramNames_, "cb");
-    // Indent the generated nest.
+  // Appends one generated nest, every line prefixed by `indent`.
+  auto appendNest = [&](const ScanNest& nest, const std::string& indent) {
+    std::string body = pset::scanToC(nest, paramNames_, "cb");
     std::size_t pos = 0;
     while (pos < body.size()) {
       std::size_t nl = body.find('\n', pos);
       if (nl == std::string::npos) nl = body.size();
-      out += "  " + body.substr(pos, nl - pos) + "\n";
+      out += indent + body.substr(pos, nl - pos) + "\n";
       pos = nl + 1;
     }
+  };
+  for (std::size_t d = 0; d < nests_.size(); ++d) {
+    out += "  // Disjunct " + std::to_string(d) + "\n";
+    appendNest(nests_[d], "  ");
+  }
+  if (hullNest_) {
+    out += "  // Exact hull of the disjuncts (hull \\ union proven empty).  With\n"
+           "  // full-row coalescing this nest is scanned in place of the\n"
+           "  // disjuncts above, which then only count rows:\n";
+    appendNest(*hullNest_, "  //   ");
   }
   out += "}\n";
   return out;

@@ -26,6 +26,17 @@
 // resolution of a 36k x 36k stencil from tens of thousands of callbacks into
 // one.  bench/ablation_coalescing measures the effect; disable with
 // `coalesce = false`.
+//
+// Coalescing works per nest, so a union of disjuncts needs one nest to
+// collapse.  Multi-disjunct *reads* get a runtime rectangular hull (a sound
+// over-approximation, Section 4.1).  A multi-disjunct *write* must stay
+// exact, so at construction the enumerator builds the simple hull of the
+// write's scan sets and proves `hull ∖ union = ∅` (pset::Set::exactHull);
+// when the proof holds, coalescing enumerates the hull nest instead of the
+// disjuncts — Hotspot's interior-plus-border write then costs one range per
+// partition instead of several per row.  EnumInfo::logicalRows always comes
+// from the disjuncts (a count-only walk, O(1) per disjunct whose tail is
+// uniform), so modeled time is unchanged.
 
 #include <array>
 #include <functional>
@@ -122,6 +133,9 @@ class Enumerator {
   std::size_t rank() const { return rank_; }
   /// False when the enumerated ranges over-approximate the true access set.
   bool exact() const { return exact_; }
+  /// True when this multi-disjunct write's simple hull was proven equal to
+  /// the union of its disjuncts; coalescing then enumerates the hull nest.
+  bool exactHull() const { return hullNest_.has_value(); }
   /// Full-row coalescing switch (on by default; ablation knob).
   bool coalesce = true;
   /// Execution tier (see codegen/bytecode.h).  All tiers emit byte-identical
@@ -203,13 +217,21 @@ class Enumerator {
   bool exact_ = true;
   std::size_t numModelParams_ = 0;           // 6 + #scalars
   std::vector<pset::ScanNest> nests_;        // one per disjunct
-  /// Whether a runtime rectangular hull over the disjuncts may be used
-  /// (read maps with uniform rank); see enumerate().
+  /// Whether a runtime rectangular hull over the live disjuncts may be used:
+  /// multi-disjunct read maps with uniform rank, for which the hull is a
+  /// sound over-approximation (it clears exact_); see enumerate().  Writes
+  /// never take this path; they use hullNest_.
   bool hullable_ = false;
+  /// Scan nest of a multi-disjunct write's simple hull, present only when
+  /// the hull was proven equal to the union (exact, so exact_ stays true).
+  /// With coalescing, enumerate() emits its ranges in place of the
+  /// disjuncts' and counts logicalRows from the disjuncts.
+  std::optional<pset::ScanNest> hullNest_;
   std::vector<pset::LinExpr> shapeRows_;     // over the model param space
   std::vector<std::string> paramNames_;      // extended space, for emitC
-  /// Bytecode program for nests_, compiled once at construction and shared
-  /// by copies (Enumerator is copyable; the program is immutable).
+  /// Bytecode program for nests_ followed by hullNest_ (when present),
+  /// compiled once at construction and shared by copies (Enumerator is
+  /// copyable; the program is immutable).
   std::shared_ptr<const bc::Program> program_;
   /// Specialized-tier program cache (keyed by EnumerationKey, FIFO-bounded,
   /// mutex-guarded); shared across copies like the program.

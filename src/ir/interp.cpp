@@ -27,7 +27,7 @@ struct Runner {
   [[gnu::cold, gnu::noinline, noreturn]] void outOfBounds(bool store, u64 arg,
                                                           i64 idx) const {
     throw Error(std::string("out-of-bounds ") + (store ? "store" : "load") +
-                " in kernel '" + kernel.name() + "' on '" +
+                " in kernel '" + kernel.sourceName() + "' on '" +
                 kernel.param(arg).name + "' index " + std::to_string(idx) +
                 " of " + std::to_string(buffers[arg].numElements));
   }
@@ -36,7 +36,7 @@ struct Runner {
                                                           bool byZero) const {
     throw Error(std::string("integer ") + (rem ? "remainder" : "division") +
                 (byZero ? " by zero" : " overflow (INT64_MIN / -1)") +
-                " in kernel '" + kernel.name() + "'");
+                " in kernel '" + kernel.sourceName() + "'");
   }
 
   [[gnu::noinline]] void observe(u64 arg, bool isWrite, i64 idx) const {

@@ -30,12 +30,18 @@ struct Program;  // ir/program.h
 
 class Kernel {
  public:
+  /// `sourceName` names the user's kernel this one was derived from (the
+  /// partitioned clone passes its original's); empty means `name` itself.
   Kernel(std::string name, std::vector<Param> params, StmtPtr body,
-         double loadReuse = 1.0)
+         double loadReuse = 1.0, std::string sourceName = {})
       : name_(std::move(name)), params_(std::move(params)), body_(std::move(body)),
-        loadReuse_(loadReuse) {}
+        loadReuse_(loadReuse),
+        sourceName_(sourceName.empty() ? name_ : std::move(sourceName)) {}
 
   const std::string& name() const { return name_; }
+  /// The user's kernel name, which errors raised while lowering or running
+  /// this kernel report (a partitioned clone "k__part" reports 'k').
+  const std::string& sourceName() const { return sourceName_; }
   const std::vector<Param>& params() const { return params_; }
   const Param& param(std::size_t i) const { return params_[i]; }
   const StmtPtr& body() const { return body_; }
@@ -87,6 +93,7 @@ class Kernel {
   std::vector<Param> params_;
   StmtPtr body_;
   double loadReuse_ = 1.0;
+  std::string sourceName_;
   mutable ProgramCache programCache_;
 };
 

@@ -73,7 +73,7 @@ class Lowering {
 
  private:
   [[noreturn]] void fail(const std::string& msg) const {
-    throw Error("kernel '" + kernel_.name() + "': " + msg);
+    throw Error("kernel '" + kernel_.sourceName() + "': " + msg);
   }
 
   std::array<std::vector<Insn>*, 4> codes() {

@@ -294,7 +294,7 @@ KernelPtr optimizeKernel(const Kernel& kernel, OptimizeStats* stats) {
     body = std::move(cleaned);
   }
   auto out = std::make_shared<Kernel>(kernel.name(), kernel.params(), std::move(body),
-                                      kernel.loadReuse());
+                                      kernel.loadReuse(), kernel.sourceName());
   verify(*out);
   return out;
 }

@@ -109,7 +109,7 @@ KernelPtr partitionKernel(const Kernel& kernel) {
   StmtPtr body = rw.rewrite(kernel.body());
   auto clone = std::make_shared<Kernel>(kernel.name() + "__part",
                                         std::move(params), std::move(body),
-                                        kernel.loadReuse());
+                                        kernel.loadReuse(), kernel.sourceName());
   verify(*clone);
   return clone;
 }

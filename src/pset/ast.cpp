@@ -253,20 +253,38 @@ ScanNest buildScan(const BasicSet& set) {
     }
   }
 
+  // The projections re-derive many of the set's own rows (every parameter
+  // guard comes back once per projected level), so guards and bounds are
+  // deduplicated here, keeping first occurrences in order: a repeated guard
+  // or min/max argument evaluates to the value its first copy already
+  // produced, so dropping it changes neither results nor which operation
+  // overflows first.
   ScanNest nest;
+  std::vector<LinExpr> seenGuards;
+  auto addGuard = [&](LinExpr e) {
+    if (std::find(seenGuards.begin(), seenGuards.end(), e) != seenGuards.end())
+      return;
+    nest.guards.push_back(rowToExpr(space, e, 0));
+    seenGuards.push_back(std::move(e));
+  };
   for (const Constraint& g : paramGuards) {
-    if (g.isEquality) {
-      // e == 0 as two guards: e >= 0 and -e >= 0.
-      nest.guards.push_back(rowToExpr(space, g.expr, 0));
-      nest.guards.push_back(rowToExpr(space, -g.expr, 0));
-    } else {
-      nest.guards.push_back(rowToExpr(space, g.expr, 0));
-    }
+    addGuard(g.expr);
+    // e == 0 as two guards: e >= 0 and -e >= 0.
+    if (g.isEquality) addGuard(-g.expr);
   }
 
   nest.levels.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     std::vector<AstExpr> lowers, uppers;
+    // (rest, coefficient) of every bound already emitted at this level.
+    std::vector<std::pair<LinExpr, i64>> seenLowers, seenUppers;
+    auto fresh = [](std::vector<std::pair<LinExpr, i64>>& seen,
+                    const LinExpr& rest, i64 coef) {
+      for (const auto& [r, c] : seen)
+        if (c == coef && r == rest) return false;
+      seen.emplace_back(rest, coef);
+      return true;
+    };
     const std::size_t col = space.col(DimId::in(i));
     for (const Constraint& c : rowsAtLevel[i]) {
       i64 a = c.expr[col];
@@ -281,8 +299,9 @@ ScanNest buildScan(const BasicSet& set) {
           coef = -coef;
         }
         rest[col] = 0;
-        lowers.push_back(AstExpr::ceilDiv(AstExpr::neg(rowToExpr(space, rest, col)),
-                                          coef));
+        if (fresh(seenLowers, rest, coef))
+          lowers.push_back(AstExpr::ceilDiv(
+              AstExpr::neg(rowToExpr(space, rest, col)), coef));
       }
       if (a < 0 || c.isEquality) {
         // x <= floor(rest / -a)  (with rest excluding the x term)
@@ -293,7 +312,8 @@ ScanNest buildScan(const BasicSet& set) {
           coef = -coef;
         }
         rest[col] = 0;
-        uppers.push_back(AstExpr::floorDiv(rowToExpr(space, rest, col), -coef));
+        if (fresh(seenUppers, rest, coef))
+          uppers.push_back(AstExpr::floorDiv(rowToExpr(space, rest, col), -coef));
       }
     }
     if (lowers.empty() || uppers.empty())

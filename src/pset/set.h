@@ -4,6 +4,7 @@
 // "unions of Z-Polyhedra").  Exactness is tracked through projections so
 // clients can distinguish precise results from sound over-approximations.
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,18 @@ class Set {
   /// which is the safe direction for dead-transfer elision (clients prefetch
   /// a superset of the live flow).
   Set subtract(const Set& o) const;
+
+  /// The simple hull of the disjuncts when it provably equals their union,
+  /// else nullopt.  The simple hull keeps every disjunct constraint that all
+  /// other disjuncts satisfy (syntactic presence first, then FM emptiness of
+  /// D_j ∩ ¬c), so it covers the union by construction; equality is then
+  /// proven by `hull ∖ union = ∅` through subtract(), whose result
+  /// over-approximates, so an empty difference is a proof.  Each subtrahend
+  /// disjunct drops the constraints the hull already carries (they hold on
+  /// every piece being split), which keeps the proof to a few pieces for a
+  /// stencil's interior-plus-borders tiling.  Requires at least two disjuncts
+  /// and an exact set.
+  std::optional<BasicSet> exactHull() const;
 
   /// Empty (definitely), NonEmpty (definitely over Z), or Unknown.
   Tri emptiness() const;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "analysis/analyze.h"
@@ -307,6 +308,260 @@ TEST(Codegen, CountElementsNearOverflowKernel) {
   ASSERT_EQ(mat.ranges.size(), 1u);
   EXPECT_EQ(mat.ranges[0], (std::pair<i64, i64>{0, big}));
   EXPECT_EQ(aRead.countElements(all, cfg, scalars), big);
+}
+
+/// Flat indices of argument `arg` that the partitioned clone of `kernel`
+/// writes over partition `gp` (interpreter access walk).  Every i64 scalar
+/// is `n`, every f64 scalar 0.25, every array n (1-D) or n*n (2-D) long.
+std::set<i64> observedWrites(const ir::Kernel& kernel, const LaunchConfig& cfg,
+                             i64 n, const GridPartition& gp, std::size_t arg) {
+  std::vector<std::vector<double>> storage;
+  std::vector<ArgValue> args;
+  for (const ir::Param& p : kernel.params()) {
+    if (p.isArray) {
+      storage.emplace_back(static_cast<std::size_t>(p.shape.size() == 2 ? n * n : n),
+                           1.0);
+      args.push_back(ArgValue::ofBuffer(storage.back().data(),
+                                        static_cast<i64>(storage.back().size())));
+    } else if (p.type == ir::Type::I64) {
+      args.push_back(ArgValue::ofInt(n));
+    } else {
+      args.push_back(ArgValue::ofFloat(0.25));
+    }
+  }
+  for (i64 v : {gp.lo.x, gp.lo.y, gp.lo.z, gp.hi.x, gp.hi.y, gp.hi.z})
+    args.push_back(ArgValue::ofInt(v));
+  std::set<i64> seen;
+  LaunchConfig partCfg{{gp.hi.x - gp.lo.x, gp.hi.y - gp.lo.y, gp.hi.z - gp.lo.z},
+                       cfg.block};
+  ir::execute(*ir::partitionKernel(kernel), partCfg, args,
+              [&](std::size_t a, bool isWrite, i64 flat, std::span<const i64, 12>) {
+                if (isWrite && a == arg) seen.insert(flat);
+              });
+  return seen;
+}
+
+/// The paper's even split of the y block rows over `gpus` devices.
+GridPartition rowSlab(const LaunchConfig& cfg, int gpus, int gpu) {
+  return GridPartition{{0, cfg.grid.y * gpu / gpus, 0},
+                       {cfg.grid.x, cfg.grid.y * (gpu + 1) / gpus, 1}};
+}
+
+std::set<i64> elements(const std::vector<std::pair<i64, i64>>& ranges) {
+  std::set<i64> out;
+  for (const auto& [b, e] : ranges)
+    for (i64 v = b; v < e; ++v) out.insert(v);
+  return out;
+}
+
+/// Hotspot's `tout` write is a union of five disjuncts (interior plus four
+/// border strips) that tiles the grid: its simple hull is proven equal to
+/// the union, so coalescing enumerates one nest.  Reads never take this
+/// path (they use the runtime rectangular hull).
+TEST(Codegen, HotspotWriteHullIsProvenExact) {
+  KernelModel m = analysis::analyzeKernel(*apps::buildHotspot());
+  auto es = buildEnumerators(m);
+  EXPECT_TRUE(find(es, 5, true).exactHull());
+  EXPECT_TRUE(find(es, 5, true).exact());
+  EXPECT_FALSE(find(es, 3, false).exactHull());
+  EXPECT_FALSE(find(es, 4, false).exactHull());
+  // Single-disjunct writes have nothing to prove.
+  KernelModel saxpy = analysis::analyzeKernel(*apps::buildSaxpy());
+  EXPECT_FALSE(find(buildEnumerators(saxpy), 3, true).exactHull());
+}
+
+/// Every partition of a 16-device row split: the hull path's ranges cover
+/// exactly the elements the partitioned kernel writes, in every tier.  A
+/// small n keeps the interpreter walk cheap; 4x4 blocks give 16 block rows.
+TEST(Codegen, HotspotWriteHullMatchesInterpreterWalk) {
+  ir::KernelPtr k = apps::buildHotspot();
+  KernelModel m = analysis::analyzeKernel(*k);
+  auto es = buildEnumerators(m);
+  Enumerator tout = find(es, 5, true);
+  ASSERT_TRUE(tout.exactHull());
+  const i64 n = 61;
+  LaunchConfig cfg{{16, 16, 1}, {4, 4, 1}};
+  i64 scalars[] = {n};
+  for (int gpu = 0; gpu < 16; ++gpu) {
+    GridPartition gp = rowSlab(cfg, 16, gpu);
+    std::set<i64> truth = observedWrites(*k, cfg, n, gp, 5);
+    PartitionTuple part = PartitionTuple::fromBlocks(gp, cfg.block);
+    for (EnumTier tier :
+         {EnumTier::Interpret, EnumTier::Bytecode, EnumTier::Specialized}) {
+      tout.tier = tier;
+      MaterializedRanges mat = tout.materialize(part, cfg, scalars);
+      EXPECT_EQ(elements(mat.ranges), truth)
+          << "partition " << gpu << " tier " << enumTierName(tier);
+      // One block row of full array rows: a single contiguous range.
+      EXPECT_EQ(mat.ranges.size(), truth.empty() ? 0u : 1u) << "partition " << gpu;
+    }
+  }
+}
+
+/// Table 1 Large on 16 devices: the hull path reports exactly the work
+/// accounting of the per-disjunct walk (coalesce = false walks every row of
+/// every disjunct) — 16 ranges and 110592 logical rows per launch — so
+/// modeled time does not move.
+TEST(Codegen, HotspotWriteHullKeepsWorkAccountingAtTableOneLarge) {
+  KernelModel m = analysis::analyzeKernel(*apps::buildHotspot());
+  auto es = buildEnumerators(m);
+  const i64 n = 36864;
+  LaunchConfig cfg{{n / 16, n / 16, 1}, {16, 16, 1}};
+  i64 scalars[] = {n};
+  Enumerator hull = find(es, 5, true);
+  Enumerator perRow = hull;
+  perRow.coalesce = false;
+  for (EnumTier tier :
+       {EnumTier::Interpret, EnumTier::Bytecode, EnumTier::Specialized}) {
+    hull.tier = perRow.tier = tier;
+    EnumInfo launch;
+    for (int gpu = 0; gpu < 16; ++gpu) {
+      PartitionTuple part = PartitionTuple::fromBlocks(rowSlab(cfg, 16, gpu), cfg.block);
+      MaterializedRanges a = hull.materialize(part, cfg, scalars);
+      MaterializedRanges b = perRow.materialize(part, cfg, scalars);
+      EXPECT_EQ(a.ranges, b.ranges) << "partition " << gpu;
+      EXPECT_EQ(a.info, b.info) << "partition " << gpu;
+      launch.ranges += a.info.ranges;
+      launch.logicalRows += a.info.logicalRows;
+    }
+    EXPECT_EQ(launch.ranges, 16) << enumTierName(tier);
+    EXPECT_EQ(launch.logicalRows, 110592) << enumTierName(tier);
+  }
+}
+
+/// A kernel that writes only the border of its grid: the hull (the whole
+/// grid) strictly contains the union, so nothing is proven and the write is
+/// enumerated per disjunct, still exactly.
+TEST(Codegen, BorderOnlyWriteIsNotHulled) {
+  ir::KernelBuilder b("border");
+  auto n = b.scalar("n", ir::Type::I64);
+  auto out = b.array("out", ir::Type::F64, {n, n});
+  auto x = b.let("x", b.globalId(ir::Axis::X));
+  auto y = b.let("y", b.globalId(ir::Axis::Y));
+  b.iff(ir::land(ir::lt(x, n), ir::lt(y, n)), [&] {
+    b.iff(ir::land(ir::land(ir::ge(x, ir::iconst(1)), ir::le(x, n - ir::iconst(2))),
+                   ir::land(ir::ge(y, ir::iconst(1)), ir::le(y, n - ir::iconst(2)))),
+          [&] {}, [&] { b.store(out, y * n + x, ir::fconst(1.0)); });
+  });
+  ir::KernelPtr k = b.build();
+  KernelModel m = analysis::analyzeKernel(*k);
+  auto es = buildEnumerators(m);
+  const Enumerator& w = find(es, 1, true);
+  EXPECT_TRUE(w.exact());
+  EXPECT_FALSE(w.exactHull());
+  const i64 n0 = 21;
+  LaunchConfig cfg{{6, 6, 1}, {4, 4, 1}};
+  i64 scalars[] = {n0};
+  for (int gpu = 0; gpu < 3; ++gpu) {
+    GridPartition gp = rowSlab(cfg, 3, gpu);
+    PartitionTuple part = PartitionTuple::fromBlocks(gp, cfg.block);
+    MaterializedRanges mat = w.materialize(part, cfg, scalars);
+    EXPECT_EQ(elements(mat.ranges), observedWrites(*k, cfg, n0, gp, 1))
+        << "partition " << gpu;
+    // Interior rows contribute their two border cells, not a full row.
+    EXPECT_GT(mat.ranges.size(), 1u) << "partition " << gpu;
+  }
+}
+
+/// Without coalescing the proven hull is not used: the paper's per-row walk
+/// of every disjunct runs, and merging yields the same ranges and the same
+/// accounting as the hull path.
+TEST(Codegen, CoalesceOffKeepsPerDisjunctWalk) {
+  ir::KernelPtr k = apps::buildHotspot();
+  KernelModel m = analysis::analyzeKernel(*k);
+  Enumerator tout = find(buildEnumerators(m), 5, true);
+  const i64 n = 29;
+  LaunchConfig cfg{{8, 8, 1}, {4, 4, 1}};
+  i64 scalars[] = {n};
+  for (int gpu = 0; gpu < 4; ++gpu) {
+    GridPartition gp = rowSlab(cfg, 4, gpu);
+    PartitionTuple part = PartitionTuple::fromBlocks(gp, cfg.block);
+    tout.coalesce = false;
+    std::vector<std::pair<i64, i64>> perRow;
+    EnumInfo perRowInfo;
+    i64 callbacks = 0;
+    tout.enumerate(part, cfg, scalars,
+                   [&](i64 b, i64 e) {
+                     ++callbacks;
+                     perRow.emplace_back(b, e);
+                   },
+                   &perRowInfo);
+    tout.coalesce = true;
+    MaterializedRanges hull = tout.materialize(part, cfg, scalars);
+    EXPECT_EQ(perRow, hull.ranges) << "partition " << gpu;
+    EXPECT_EQ(perRowInfo, hull.info) << "partition " << gpu;
+    EXPECT_EQ(elements(perRow), observedWrites(*k, cfg, n, gp, 5));
+    // Logical rows are the per-disjunct rows: more than the block rows the
+    // partition spans (every interior row is split into three pieces).
+    EXPECT_GT(perRowInfo.logicalRows, gp.hi.y * 4 - gp.lo.y * 4);
+  }
+}
+
+/// Splits "f(a, g(b, c), d)"-style argument text at top-level commas.
+std::vector<std::string> topLevelArgs(const std::string& s) {
+  std::vector<std::string> out;
+  int depth = 0;
+  std::string cur;
+  for (char c : s) {
+    if (c == '(') ++depth;
+    if (c == ')') --depth;
+    if (c == ',' && depth == 0) {
+      out.push_back(cur);
+      cur.clear();
+      continue;
+    }
+    if (!(c == ' ' && cur.empty())) cur += c;
+  }
+  out.push_back(cur);
+  return out;
+}
+
+/// buildScan re-embeds every projection's rows; duplicates are dropped, so
+/// the generated Hotspot write evaluates each guard and each min/max
+/// argument once.
+TEST(Codegen, HotspotWriteHasNoRepeatedGuardOrBoundTerm) {
+  KernelModel m = analysis::analyzeKernel(*apps::buildHotspot());
+  std::string src = find(buildEnumerators(m), 5, true).emitC();
+  std::size_t guardLines = 0, calls = 0;
+  std::size_t pos = 0;
+  while (pos < src.size()) {
+    std::size_t nl = src.find('\n', pos);
+    std::string line = src.substr(pos, nl - pos);
+    pos = nl == std::string::npos ? src.size() : nl + 1;
+    // Guards: "if (g0 >= 0 && g1 >= 0 && ...) {".
+    std::size_t at = line.find("if ((");
+    if (at != std::string::npos) {
+      ++guardLines;
+      std::set<std::string> seen;
+      std::string conds = line.substr(at + 4);
+      for (std::size_t p = 0, q; p < conds.size(); p = q + 4) {
+        q = conds.find(" && ", p);
+        if (q == std::string::npos) q = conds.size();
+        std::string g = conds.substr(p, q - p);
+        EXPECT_TRUE(seen.insert(g).second) << "repeated guard " << g;
+      }
+    }
+    // Bounds: every max(...)/min(...) call's arguments are distinct.
+    for (const char* fn : {"max(", "min("}) {
+      for (std::size_t f = line.find(fn); f != std::string::npos;
+           f = line.find(fn, f + 1)) {
+        ++calls;
+        std::size_t open = f + 3;
+        int depth = 0;
+        std::size_t close = open;
+        for (; close < line.size(); ++close) {
+          if (line[close] == '(') ++depth;
+          if (line[close] == ')' && --depth == 0) break;
+        }
+        std::vector<std::string> args =
+            topLevelArgs(line.substr(open + 1, close - open - 1));
+        std::set<std::string> unique(args.begin(), args.end());
+        EXPECT_EQ(unique.size(), args.size()) << "repeated term in " << line;
+      }
+    }
+  }
+  EXPECT_EQ(guardLines, 6u);  // five disjuncts plus the hull
+  EXPECT_GT(calls, 0u);
 }
 
 /// Satellite contract: a materialized plan replayed later must be

@@ -57,6 +57,7 @@ void collectRanges(const Enumerator& e, const PartitionTuple& tuple,
 
 TEST(EnumeratorFuzz, RangesMatchObservedFootprint) {
   const int kernels = fuzz::caseCount(60);
+  int provenHulls = 0;  // multi-disjunct writes enumerated through their hull
   for (int kcase = 0; kcase < kernels; ++kcase) {
     fuzz::SeededRng rng(fuzz::seedFor(21, kcase));
     SCOPED_TRACE(rng.replay());
@@ -141,6 +142,7 @@ TEST(EnumeratorFuzz, RangesMatchObservedFootprint) {
 
         const std::set<i64>& truth = observed[{e.argIndex(), e.isWrite()}];
         if (e.isWrite()) {
+          if (pcase == 0 && e.exactHull()) ++provenHulls;
           EXPECT_TRUE(e.exact()) << "write enumerators must be exact";
           EXPECT_EQ(coalesced, truth)
               << "write ranges diverge from the observed footprint\n"
@@ -164,6 +166,10 @@ TEST(EnumeratorFuzz, RangesMatchObservedFootprint) {
       }
     }
   }
+  // Every generated kernel writes an interior plus a border copy-through, so
+  // the sweep must reach the proven-hull write path it is checking.
+  RecordProperty("proven_hulls", provenHulls);
+  if (!fuzz::seedPinned()) EXPECT_GT(provenHulls, 0);
 }
 
 /// Three-way differential oracle over the execution tiers: for every random
@@ -174,6 +180,7 @@ TEST(EnumeratorFuzz, RangesMatchObservedFootprint) {
 /// path and the cached-program hit path are exercised.
 TEST(EnumeratorFuzz, TiersMaterializeIdenticalRanges) {
   const int kernels = fuzz::caseCount(60);
+  int provenHulls = 0;  // multi-disjunct writes enumerated through their hull
   for (int kcase = 0; kcase < kernels; ++kcase) {
     fuzz::SeededRng rng(fuzz::seedFor(22, kcase));
     SCOPED_TRACE(rng.replay());
@@ -191,6 +198,8 @@ TEST(EnumeratorFuzz, TiersMaterializeIdenticalRanges) {
     const analysis::KernelModel* km = model.find(g.kernel->name());
     ASSERT_NE(km, nullptr);
     std::vector<Enumerator> enumerators = buildEnumerators(*km);
+    for (const Enumerator& e : enumerators)
+      if (e.isWrite() && e.exactHull()) ++provenHulls;
 
     const i64 n = g.is2d ? 17 : 200;
     ir::LaunchConfig cfg =
@@ -247,6 +256,8 @@ TEST(EnumeratorFuzz, TiersMaterializeIdenticalRanges) {
       }
     }
   }
+  RecordProperty("proven_hulls", provenHulls);
+  if (!fuzz::seedPinned()) EXPECT_GT(provenHulls, 0);
 }
 
 }  // namespace

@@ -229,6 +229,40 @@ TEST(Set, SubtractSplitsInterval) {
   }
 }
 
+TEST(Set, ExactHullOfTilingUnion) {
+  // [N] -> { [i] : i = 0 } ∪ { [i] : 1 <= i <= N - 2 } ∪ { [i] : i = N - 1 }
+  // with N >= 1 in every part (as an analysis context adds it) tiles
+  // 0..N-1, so the hull 0 <= i <= N - 1 is exact.
+  Space s = Space::set({"N"}, {"i"});
+  LinExpr i = LinExpr::dim(s, DimId::in(0));
+  LinExpr n = LinExpr::dim(s, DimId::param(0));
+  BasicSet first(s), interior(s), last(s);
+  first.addEq(i);
+  interior.addBounds(DimId::in(0), LinExpr::constant(s, 1), n - LinExpr::constant(s, 1));
+  last.addEq(n - LinExpr::constant(s, 1) - i);
+  for (BasicSet* b : {&first, &interior, &last}) b->addGe(n - LinExpr::constant(s, 1));
+  Set u(s);
+  for (const BasicSet& b : {interior, first, last}) u.addPart(b);
+  std::optional<BasicSet> hull = u.exactHull();
+  ASSERT_TRUE(hull.has_value());
+  for (i64 N : {0, 1, 2, 3, 7})
+    for (i64 v = -2; v < N + 2; ++v) {
+      i64 params[] = {N}, pt[] = {v};
+      EXPECT_EQ(hull->containsPoint(params, pt, {}), u.containsPoint(params, pt))
+          << "N=" << N << " i=" << v;
+    }
+
+  // The two end points alone leave the interior uncovered: no proof.
+  Set gap(s);
+  gap.addPart(first);
+  gap.addPart(last);
+  EXPECT_FALSE(gap.exactHull().has_value());
+  // A single disjunct has no hull to prove.
+  Set one(s);
+  one.addPart(interior);
+  EXPECT_FALSE(one.exactHull().has_value());
+}
+
 TEST(Set, SubtractDisjointAndCovering) {
   Space s = Space::set({}, {"i"});
   BasicSet a(s);

@@ -222,7 +222,9 @@ TEST(Runtime, KernelDivisionByZeroThrows) {
     divide(0);
     ADD_FAILURE() << "division by zero did not throw";
   } catch (const Error& e) {
-    EXPECT_STREQ(e.what(), "integer division by zero in kernel 'divide__part'");
+    // The runtime executes the partitioned clone; the error names the
+    // kernel the user launched.
+    EXPECT_STREQ(e.what(), "integer division by zero in kernel 'divide'");
   }
 
   divide(3);
@@ -230,6 +232,36 @@ TEST(Runtime, KernelDivisionByZeroThrows) {
   rt.memcpy(got.data(), vout, len * 8, MemcpyKind::DeviceToHost);
   for (i64 k = 0; k < len; ++k)
     EXPECT_EQ(got[static_cast<std::size_t>(k)], static_cast<double>(k / 3)) << k;
+  rt.free(vout);
+}
+
+TEST(Runtime, KernelOutOfBoundsNamesUserKernel) {
+  ir::KernelBuilder b("shift");
+  auto n = b.scalar("n", ir::Type::I64);
+  auto d = b.scalar("d", ir::Type::I64);
+  auto in = b.array("in", ir::Type::F64, {n});
+  auto out = b.array("out", ir::Type::F64, {n});
+  auto i = b.let("i", b.globalId(ir::Axis::X));
+  b.iff(ir::lt(i, n), [&] { b.store(out, i, b.load(in, i + d)); });
+  ir::Module mod = apps::buildBenchmarkModule();
+  mod.addKernel(b.build());
+  RuntimeConfig cfg;
+  cfg.numGpus = 2;
+  Runtime rt(cfg, analysis::analyzeModule(mod), mod);
+
+  const i64 len = 256;
+  VirtualBuffer* vin = rt.malloc(len * 8);
+  VirtualBuffer* vout = rt.malloc(len * 8);
+  LaunchArg args[] = {LaunchArg::ofInt(len), LaunchArg::ofInt(1),
+                      LaunchArg::ofBuffer(vin), LaunchArg::ofBuffer(vout)};
+  try {
+    rt.launch("shift", {len / 128, 1, 1}, {128, 1, 1}, args);
+    ADD_FAILURE() << "out-of-bounds load did not throw";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "out-of-bounds load in kernel 'shift' on 'in' index 256 of 256");
+  }
+  rt.free(vin);
   rt.free(vout);
 }
 

@@ -38,7 +38,7 @@ struct ThreadCtx {
   [[noreturn]] void badDivision(bool rem, bool byZero) const {
     throw Error(std::string("integer ") + (rem ? "remainder" : "division") +
                 (byZero ? " by zero" : " overflow (INT64_MIN / -1)") +
-                " in kernel '" + kernel.name() + "'");
+                " in kernel '" + kernel.sourceName() + "'");
   }
 };
 
@@ -115,7 +115,7 @@ inline Value evalExpr(const Expr& e, ThreadCtx& ctx) {
       if (ctx.observer && *ctx.observer)
         (*ctx.observer)(e.argIndex(), false, idx, std::span<const i64, 12>(ctx.builtins));
       if (idx < 0 || idx >= a.numElements)
-        throw Error("out-of-bounds load in kernel '" + ctx.kernel.name() +
+        throw Error("out-of-bounds load in kernel '" + ctx.kernel.sourceName() +
                     "' on '" + ctx.kernel.param(e.argIndex()).name + "' index " +
                     std::to_string(idx) + " of " + std::to_string(a.numElements));
       if (e.type() == Type::F64)
@@ -177,7 +177,7 @@ inline void execStmt(const Stmt& s, ThreadCtx& ctx) {
       if (ctx.observer && *ctx.observer)
         (*ctx.observer)(s.arrayArg(), true, idx, std::span<const i64, 12>(ctx.builtins));
       if (idx < 0 || idx >= a.numElements)
-        throw Error("out-of-bounds store in kernel '" + ctx.kernel.name() +
+        throw Error("out-of-bounds store in kernel '" + ctx.kernel.sourceName() +
                     "' on '" + ctx.kernel.param(s.arrayArg()).name + "' index " +
                     std::to_string(idx) + " of " + std::to_string(a.numElements));
       Value v = evalExpr(*s.value(), ctx);
