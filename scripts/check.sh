@@ -29,6 +29,30 @@ run() {
   "$@"
 }
 
+# One knob stage: rebuild both sanitizer trees, then run the ASan+UBSan
+# selection and the TSan selection with VAR=VALUE exported, each followed by
+# the fuzz suites.  An empty ASAN_REGEX runs the whole non-fuzz suite.
+#   knob_stage VAR=VALUE ASAN_REGEX TSAN_REGEX
+knob_stage() {
+  local knob=$1 asan_regex=$2 tsan_regex=$3
+  local asan_select=()
+  [ -n "$asan_regex" ] && asan_select=(-R "$asan_regex")
+  run cmake -B build-asan -S . -DPOLYPART_SANITIZE=address,undefined
+  run cmake --build build-asan -j "$jobs"
+  run env "$knob" \
+    ctest --test-dir build-asan -j "$jobs" --output-on-failure \
+    "${asan_select[@]}" -LE fuzz
+  run env "$knob" \
+    ctest --test-dir build-asan -j "$jobs" --output-on-failure -L fuzz
+  run cmake -B build-tsan -S . -DPOLYPART_SANITIZE=thread
+  run cmake --build build-tsan -j "$jobs"
+  run env "$knob" \
+    ctest --test-dir build-tsan -j "$jobs" --output-on-failure \
+    -R "$tsan_regex" -LE fuzz
+  run env "$knob" \
+    ctest --test-dir build-tsan -j "$jobs" --output-on-failure -L fuzz
+}
+
 for stage in "${stages[@]}"; do
   case "$stage" in
     tier1)
@@ -81,24 +105,12 @@ for stage in "${stages[@]}"; do
       # RuntimeConfig *default*, so every suite that does not pin the knob
       # re-runs on the compiled tier (configs that set enumeratorTier
       # explicitly — e.g. the tier sweep — still test what they name).
-      # Reuses the sanitizer trees the asan/tsan stages configure.
-      run cmake -B build-asan -S . -DPOLYPART_SANITIZE=address,undefined
-      run cmake --build build-asan -j "$jobs"
-      run env POLYPART_ENUMERATOR_TIER=bytecode \
-        ctest --test-dir build-asan -j "$jobs" --output-on-failure -LE fuzz
-      run env POLYPART_ENUMERATOR_TIER=bytecode \
-        ctest --test-dir build-asan -j "$jobs" --output-on-failure -L fuzz
-      run cmake -B build-tsan -S . -DPOLYPART_SANITIZE=thread
-      run cmake --build build-tsan -j "$jobs"
-      # Same thread-sensitive selection as the tsan stage: the compiled tier
-      # adds a shared specialized-program cache to the concurrent
-      # materialization paths, which is exactly what TSan should see.
-      run env POLYPART_ENUMERATOR_TIER=bytecode \
-        ctest --test-dir build-tsan -j "$jobs" --output-on-failure \
-        -R 'ThreadPool|ParallelResolution|Pipelined|Pipeline|Runtime|EnumCache|Tracker|Trace' \
-        -LE fuzz
-      run env POLYPART_ENUMERATOR_TIER=bytecode \
-        ctest --test-dir build-tsan -j "$jobs" --output-on-failure -L fuzz
+      # Under TSan the selection is the tsan stage's thread-sensitive one:
+      # the compiled tier adds a shared specialized-program cache to the
+      # concurrent materialization paths, which is exactly what TSan should
+      # see.
+      knob_stage POLYPART_ENUMERATOR_TIER=bytecode '' \
+        'ThreadPool|ParallelResolution|Pipelined|Pipeline|Runtime|EnumCache|Tracker|Trace'
       ;;
     dataflow)
       # Cross-launch dataflow planning pass: POLYPART_DATAFLOW_PLANNING=1
@@ -108,26 +120,12 @@ for stage in "${stages[@]}"; do
       # planner touches the tracker from the commit path and skips the
       # per-launch barriers, so ASan/UBSan and TSan both matter here; the
       # dataflow and determinism suites plus the randomized differential
-      # fuzz runs are the selection.  Reuses the sanitizer trees the
-      # asan/tsan stages configure.
-      run cmake -B build-asan -S . -DPOLYPART_SANITIZE=address,undefined
-      run cmake --build build-asan -j "$jobs"
-      run env POLYPART_DATAFLOW_PLANNING=1 \
-        ctest --test-dir build-asan -j "$jobs" --output-on-failure \
-        -R 'Dataflow|CacheCounters|Runtime|Pipelined|ParallelResolution|TransferPlan|Tracker' \
-        -LE fuzz
-      run env POLYPART_DATAFLOW_PLANNING=1 \
-        ctest --test-dir build-asan -j "$jobs" --output-on-failure -L fuzz
-      run cmake -B build-tsan -S . -DPOLYPART_SANITIZE=thread
-      run cmake --build build-tsan -j "$jobs"
-      # Planning composes with the threaded resolution engine and the
-      # pipelined launch engine; those suites under TSan are the point.
-      run env POLYPART_DATAFLOW_PLANNING=1 \
-        ctest --test-dir build-tsan -j "$jobs" --output-on-failure \
-        -R 'Dataflow|CacheCounters|Runtime|Pipelined|ParallelResolution|TransferPlan|Tracker' \
-        -LE fuzz
-      run env POLYPART_DATAFLOW_PLANNING=1 \
-        ctest --test-dir build-tsan -j "$jobs" --output-on-failure -L fuzz
+      # fuzz runs are the selection.  Planning composes with the threaded
+      # resolution engine and the pipelined launch engine; those suites
+      # under TSan are the point.
+      knob_stage POLYPART_DATAFLOW_PLANNING=1 \
+        'Dataflow|CacheCounters|Runtime|Pipelined|ParallelResolution|TransferPlan|Tracker' \
+        'Dataflow|CacheCounters|Runtime|Pipelined|ParallelResolution|TransferPlan|Tracker'
       ;;
     repartition)
       # Elastic repartitioning pass: POLYPART_ALLOW_REPARTITIONING=1 flips
@@ -137,24 +135,10 @@ for stage in "${stages[@]}"; do
       # name.  The repartition/checkpoint suites exercise migration,
       # host-side checkpointing, and device-failure recovery under ASan/
       # UBSan; under TSan the point is migration and recovery composing
-      # with the threaded resolution and pipelined launch engines.  Reuses
-      # the sanitizer trees the asan/tsan stages configure.
-      run cmake -B build-asan -S . -DPOLYPART_SANITIZE=address,undefined
-      run cmake --build build-asan -j "$jobs"
-      run env POLYPART_ALLOW_REPARTITIONING=1 \
-        ctest --test-dir build-asan -j "$jobs" --output-on-failure \
-        -R 'Repartition|Checkpoint|EnvKnobs|Dataflow|Runtime|TransferPlan|Tracker' \
-        -LE fuzz
-      run env POLYPART_ALLOW_REPARTITIONING=1 \
-        ctest --test-dir build-asan -j "$jobs" --output-on-failure -L fuzz
-      run cmake -B build-tsan -S . -DPOLYPART_SANITIZE=thread
-      run cmake --build build-tsan -j "$jobs"
-      run env POLYPART_ALLOW_REPARTITIONING=1 \
-        ctest --test-dir build-tsan -j "$jobs" --output-on-failure \
-        -R 'Repartition|Checkpoint|Pipelined|ParallelResolution|Runtime' \
-        -LE fuzz
-      run env POLYPART_ALLOW_REPARTITIONING=1 \
-        ctest --test-dir build-tsan -j "$jobs" --output-on-failure -L fuzz
+      # with the threaded resolution and pipelined launch engines.
+      knob_stage POLYPART_ALLOW_REPARTITIONING=1 \
+        'Repartition|Checkpoint|EnvKnobs|Dataflow|Runtime|TransferPlan|Tracker' \
+        'Repartition|Checkpoint|Pipelined|ParallelResolution|Runtime'
       ;;
     irregular)
       # May-access tier pass: POLYPART_INSPECTOR_EXECUTOR=1 flips the
@@ -165,24 +149,10 @@ for stage in "${stages[@]}"; do
       # whole-buffer halves of the differential tests — still test what
       # they name).  ASan/UBSan covers the host-side mirrors and range
       # coalescing; under TSan the point is the inspector composing with
-      # the threaded resolution and pipelined launch engines.  Reuses the
-      # sanitizer trees the asan/tsan stages configure.
-      run cmake -B build-asan -S . -DPOLYPART_SANITIZE=address,undefined
-      run cmake --build build-asan -j "$jobs"
-      run env POLYPART_INSPECTOR_EXECUTOR=1 \
-        ctest --test-dir build-asan -j "$jobs" --output-on-failure \
-        -R 'Irregular|Dynamic|Analysis|EnvKnobs|Runtime|Sweep|Repartition|Checkpoint' \
-        -LE fuzz
-      run env POLYPART_INSPECTOR_EXECUTOR=1 \
-        ctest --test-dir build-asan -j "$jobs" --output-on-failure -L fuzz
-      run cmake -B build-tsan -S . -DPOLYPART_SANITIZE=thread
-      run cmake --build build-tsan -j "$jobs"
-      run env POLYPART_INSPECTOR_EXECUTOR=1 \
-        ctest --test-dir build-tsan -j "$jobs" --output-on-failure \
-        -R 'Irregular|InspectorFuzz|Pipelined|ParallelResolution|Runtime' \
-        -LE fuzz
-      run env POLYPART_INSPECTOR_EXECUTOR=1 \
-        ctest --test-dir build-tsan -j "$jobs" --output-on-failure -L fuzz
+      # the threaded resolution and pipelined launch engines.
+      knob_stage POLYPART_INSPECTOR_EXECUTOR=1 \
+        'Irregular|Dynamic|Analysis|EnvKnobs|Runtime|Sweep|Repartition|Checkpoint' \
+        'Irregular|InspectorFuzz|Pipelined|ParallelResolution|Runtime'
       ;;
     benchsmoke)
       # Every bench binary must run to completion at a tiny scale: the

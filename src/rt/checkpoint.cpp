@@ -100,9 +100,9 @@ void Runtime::recoverDevice(int device, const Checkpoint& cp,
         0, buf->bytes(), [&](i64 b, i64 e, Owner owner, u64 sharers) {
           if (owner != device) return;
           Lost l{b, e, -1};
-          for (int d = 0; d < config_.numGpus && d < 64; ++d) {
+          for (int d = 0; d < config_.numGpus; ++d) {
             if (d == device || machine_->deviceFailed(d)) continue;
-            if ((sharers & (u64{1} << d)) != 0) {
+            if (hasReplica(sharers, d)) {
               l.adopt = d;
               break;
             }

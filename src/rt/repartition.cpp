@@ -226,7 +226,7 @@ RepartitionResult Runtime::migrateKernel(KernelEntry& ke,
             [&](i64 b, i64 e, Owner owner, u64 sharers) {
               ++stats_.trackerSegmentsVisited;
               if (owner < 0 || owner == d) return;  // undefined / already here
-              if (d < 64 && (sharers & (u64{1} << d)) != 0) {
+              if (hasReplica(sharers, d)) {
                 flips.push_back(Assign{buf, b, e, d});  // replica: no copy
                 return;
               }

@@ -64,63 +64,13 @@ double wallSeconds(std::chrono::steady_clock::time_point since) {
 }
 
 /// Field-wise difference accumulation for the per-tenant stats slices:
-/// into += after - before.  Every RuntimeStats field must appear here.
+/// into += after - before.
 void addStatsDiff(RuntimeStats& into, const RuntimeStats& before,
                   const RuntimeStats& after) {
-  into.launches += after.launches - before.launches;
-  into.rangesResolved += after.rangesResolved - before.rangesResolved;
-  into.logicalRowsResolved +=
-      after.logicalRowsResolved - before.logicalRowsResolved;
-  into.trackerSegmentsVisited +=
-      after.trackerSegmentsVisited - before.trackerSegmentsVisited;
-  into.peerCopies += after.peerCopies - before.peerCopies;
-  into.sharedCopyHits += after.sharedCopyHits - before.sharedCopyHits;
-  into.enumCacheHits += after.enumCacheHits - before.enumCacheHits;
-  into.enumCacheMisses += after.enumCacheMisses - before.enumCacheMisses;
-  into.enumCacheEvictions +=
-      after.enumCacheEvictions - before.enumCacheEvictions;
-  into.transfersMerged += after.transfersMerged - before.transfersMerged;
-  into.broadcastChains += after.broadcastChains - before.broadcastChains;
-  into.bytesSavedByDedup += after.bytesSavedByDedup - before.bytesSavedByDedup;
-  into.planActivations += after.planActivations - before.planActivations;
-  into.planDivergences += after.planDivergences - before.planDivergences;
-  into.plannedLaunches += after.plannedLaunches - before.plannedLaunches;
-  into.prefetchCopies += after.prefetchCopies - before.prefetchCopies;
-  into.bytesPrefetched += after.bytesPrefetched - before.bytesPrefetched;
-  into.bytesElided += after.bytesElided - before.bytesElided;
-  into.prefetchHits += after.prefetchHits - before.prefetchHits;
-  into.repartitions += after.repartitions - before.repartitions;
-  into.repartitionCopies += after.repartitionCopies - before.repartitionCopies;
-  into.bytesRepartitioned +=
-      after.bytesRepartitioned - before.bytesRepartitioned;
-  into.bytesRepartitionFootprint +=
-      after.bytesRepartitionFootprint - before.bytesRepartitionFootprint;
-  into.checkpoints += after.checkpoints - before.checkpoints;
-  into.bytesCheckpointed += after.bytesCheckpointed - before.bytesCheckpointed;
-  into.recoveries += after.recoveries - before.recoveries;
-  into.restoreCopies += after.restoreCopies - before.restoreCopies;
-  into.bytesRestored += after.bytesRestored - before.bytesRestored;
-  into.bytesAdopted += after.bytesAdopted - before.bytesAdopted;
-  into.mayAccessLaunches += after.mayAccessLaunches - before.mayAccessLaunches;
-  into.inspectorRuns += after.inspectorRuns - before.inspectorRuns;
-  into.inspectorCacheHits += after.inspectorCacheHits - before.inspectorCacheHits;
-  into.inspectorCacheMisses +=
-      after.inspectorCacheMisses - before.inspectorCacheMisses;
-  into.inspectorCacheInvalidations +=
-      after.inspectorCacheInvalidations - before.inspectorCacheInvalidations;
-  into.inspectedElements += after.inspectedElements - before.inspectedElements;
-  into.resolutionTasks += after.resolutionTasks - before.resolutionTasks;
-  into.resolutionWallSeconds +=
-      after.resolutionWallSeconds - before.resolutionWallSeconds;
-  into.parallelWallSeconds +=
-      after.parallelWallSeconds - before.parallelWallSeconds;
-  into.fmMemoHits += after.fmMemoHits - before.fmMemoHits;
-  into.fmMemoMisses += after.fmMemoMisses - before.fmMemoMisses;
-  into.fmMemoEvictions += after.fmMemoEvictions - before.fmMemoEvictions;
-  into.specProgramHits += after.specProgramHits - before.specProgramHits;
-  into.specProgramMisses += after.specProgramMisses - before.specProgramMisses;
-  into.specProgramEvictions +=
-      after.specProgramEvictions - before.specProgramEvictions;
+#define POLYPART_STATS_DIFF(type, name, kind) \
+  into.name += after.name - before.name;
+  POLYPART_RUNTIME_STATS(POLYPART_STATS_DIFF)
+#undef POLYPART_STATS_DIFF
 }
 
 }  // namespace
@@ -181,6 +131,18 @@ struct Runtime::Pipeline {
 Runtime::Runtime(RuntimeConfig config, analysis::ApplicationModel model,
                  const ir::Module& kernels)
     : config_(config), model_(std::move(model)) {
+  // Reject bad values before anything is built.
+  auto require = [](bool ok, const char* field, i64 value, const char* rule) {
+    if (!ok)
+      throw Error(std::string("RuntimeConfig::") + field + " must be " + rule +
+                  ", got " + std::to_string(value));
+  };
+  require(config_.numGpus >= 1, "numGpus", config_.numGpus, ">= 1");
+  require(config_.numTenants >= 1, "numTenants", config_.numTenants, ">= 1");
+  require(config_.pipelineDepth >= 0, "pipelineDepth", config_.pipelineDepth,
+          ">= 0");
+  require(config_.maxInFlightPerTenant >= 0, "maxInFlightPerTenant",
+          config_.maxInFlightPerTenant, ">= 0");
   // FM-memoization telemetry baseline: taken before any enumerator is built
   // so this runtime's construction-time projections count toward its sample.
   const pset::FmMemoCounters fmBase = pset::fmMemoCounters();
@@ -191,7 +153,7 @@ Runtime::Runtime(RuntimeConfig config, analysis::ApplicationModel model,
   machine_ = std::make_unique<sim::Machine>(config_.machine, config_.mode);
   if (config_.dataflowPlanning && config_.enableDependencyResolution &&
       config_.enableTransfers) {
-    planners_.resize(static_cast<std::size_t>(std::max(1, config_.numTenants)));
+    planners_.resize(static_cast<std::size_t>(config_.numTenants));
     for (auto& p : planners_)
       p = std::make_unique<DataflowPlanner>(
           config_.numGpus, kElemBytes,
@@ -249,10 +211,6 @@ Runtime::Runtime(RuntimeConfig config, analysis::ApplicationModel model,
     kernels_.emplace(model_.kernels[i].kernel, std::move(entries[i]));
 
   // Tenancy + pipelined engine.
-  PP_ASSERT_MSG(config_.numTenants >= 1, "numTenants must be >= 1");
-  PP_ASSERT_MSG(config_.pipelineDepth >= 0, "pipelineDepth must be >= 0");
-  PP_ASSERT_MSG(config_.maxInFlightPerTenant >= 0,
-                "maxInFlightPerTenant must be >= 0");
   tenants_.resize(static_cast<std::size_t>(config_.numTenants));
   if (config_.tracer != nullptr &&
       (config_.numTenants > 1 || config_.pipelineDepth > 0))
@@ -566,7 +524,7 @@ void Runtime::issuePrefetches(const PendingLaunch& pl, std::size_t step,
             rb, re, [&](i64 b, i64 e, Owner owner, u64 sharers) {
               ++stats_.trackerSegmentsVisited;
               if (owner != t.src) return;  // plan/reality divergence: skip
-              if ((sharers & (u64{1} << t.dst)) != 0) return;  // already there
+              if (hasReplica(sharers, t.dst)) return;  // already there
               plan.add(vb, t.dst, t.src, b, e);
               replicas.push_back(Replica{vb, b, e, t.dst});
             });
@@ -768,75 +726,6 @@ std::shared_ptr<const Runtime::InspectedFootprints> Runtime::inspectFootprints(
   return fp;
 }
 
-void Runtime::synchronizeMayAccessReads(KernelEntry& ke,
-                                        std::span<const LaunchArg> args,
-                                        const InspectedFootprints& fp) {
-  ResolutionTimer timer(*this);
-  trace::Span span(config_.tracer, "runtime", "sync-may-reads");
-  std::unique_ptr<TransferPlan> xferPlan = makeTransferPlan();
-  std::vector<std::pair<i64, i64>> sharerScratch;
-  // Same tracker-query and per-array modeled-cost sequence as
-  // synchronizeReads, driven by the inspected footprints instead of the
-  // enumerators.  It stays a direct loop at every resolutionThreads value
-  // (it is already cheap and footprint-exact).
-  for (int gpu = 0; gpu < config_.numGpus; ++gpu) {
-    for (std::size_t si = 0; si < ke.mayReadArgs.size(); ++si) {
-      const auto& ranges = fp.ranges[si][static_cast<std::size_t>(gpu)];
-      if (ranges.empty()) continue;
-      VirtualBuffer* vb = args[ke.mayReadArgs[si]].buffer;
-      PP_ASSERT(vb != nullptr);
-      i64 segments = 0;
-      for (const auto& [elemB, elemE] : ranges) {
-        vb->tracker_.querySharers(
-            elemB * kElemBytes, elemE * kElemBytes,
-            [&](i64 b, i64 en, Owner owner, u64 sharers) {
-              ++segments;
-              if (owner == gpu || owner < 0) return;
-              if ((config_.trackSharedCopies || config_.dataflowPlanning) &&
-                  gpu < 64 && (sharers & (u64{1} << gpu)) != 0) {
-                if (config_.trackSharedCopies)
-                  ++stats_.sharedCopyHits;
-                else
-                  ++stats_.prefetchHits;
-                return;
-              }
-              if (config_.enableTransfers) {
-                if (xferPlan != nullptr) {
-                  xferPlan->add(vb, gpu, static_cast<int>(owner), b, en);
-                } else {
-                  machine_->copyPeer(
-                      vb->instances_[static_cast<std::size_t>(gpu)], b,
-                      vb->instances_[static_cast<std::size_t>(owner)], b,
-                      en - b);
-                  ++stats_.peerCopies;
-                  trace::instant(
-                      config_.tracer, "transfer", "peer-copy",
-                      {{"src", owner}, {"dst", gpu}, {"bytes", en - b}});
-                }
-                if (config_.trackSharedCopies) sharerScratch.emplace_back(b, en);
-              }
-            });
-        for (const auto& [b, en] : sharerScratch)
-          vb->tracker_.addSharer(b, en, gpu);
-        sharerScratch.clear();
-      }
-      stats_.rangesResolved += static_cast<i64>(ranges.size());
-      stats_.trackerSegmentsVisited += segments;
-      double perRow =
-          config_.resolutionCostPerRow +
-          (config_.enableTransfers ? config_.transferIssueCostPerRow : 0);
-      double cost = config_.resolutionCostPerArray +
-                    perRow * static_cast<double>(
-                                 static_cast<i64>(ranges.size()) + segments);
-      double simStart = machine_->now();
-      machine_->advanceHost(cost);
-      trace::simSpan(config_.tracer, "sim.pattern", "resolve-may-reads",
-                     sim::kSimHostTrack, simStart, cost, {{"gpu", gpu}});
-    }
-  }
-  if (xferPlan != nullptr) issueTransferPlan(*xferPlan);
-}
-
 void Runtime::gatherRmwMayArgs(KernelEntry& ke, std::span<const LaunchArg> args,
                                int gpu) {
   // Read-modify-write may-args carry no static read map, and each partition
@@ -876,22 +765,24 @@ void Runtime::gatherRmwMayArgs(KernelEntry& ke, std::span<const LaunchArg> args,
 //                          needs (Enumerator::enumerate is const and touches
 //                          no shared state); the plan cache itself is only
 //                          mutated on this thread, with its FIFO
-//                          hit/miss/eviction accounting in GPU order.
+//                          hit/miss/eviction accounting in GPU order.  The
+//                          result is the pass's PassItems, one per (gpu,
+//                          consumed enumerator), in canonical order.
 //   2. sharded trackers  — one task per destination VirtualBuffer executes
-//                          that buffer's work items in the canonical
-//                          (gpu, enumerator, range) order.  Trackers of
-//                          different buffers are independent, so every
-//                          tracker sees the same operation sequence however
-//                          the tasks are scheduled.
+//                          that buffer's items in the canonical order.
+//                          Trackers of different buffers are independent,
+//                          so every tracker sees the same operation
+//                          sequence however the tasks are scheduled.
 //   3. ordered commit    — transfer decisions and modeled costs collected by
 //                          the tasks are replayed into sim::Machine in the
 //                          canonical order, so engine reservations,
 //                          floating-point cost accumulation, MachineStats,
 //                          and RuntimeStats do not depend on the schedule.
 //
-// RuntimeConfig::resolutionThreads only decides where phases 1 and 2 run:
-// inline on this thread at 0 (the paper's serial resolution), on the pool
-// otherwise.
+// Inspected may-reads run phases 2 and 3 as a second read pass, with items
+// built from the footprints instead of phase 1.  RuntimeConfig::
+// resolutionThreads only decides where phases 1 and 2 run: inline on this
+// thread at 0 (the paper's serial resolution), on the pool otherwise.
 // ---------------------------------------------------------------------------
 
 void Runtime::forEachTask(i64 n, const std::function<void(i64)>& body) {
@@ -919,20 +810,31 @@ void Runtime::runResolutionTasks(const char* label, i64 n,
   stats_.parallelWallSeconds += wallSeconds(t0);
 }
 
-support::SmallVec<VirtualBuffer*, 8> Runtime::passBuffers(
+std::vector<Runtime::PassItem> Runtime::passItems(
     const KernelEntry& ke, std::span<const LaunchArg> args,
-    const ResolutionPass& pass) {
-  // Every partition consumes the same enumerators, so the enumerators alone
-  // fix the buffer set; kernels take a handful of array arguments, so a
-  // linear search is all the deduplication needs.
+    std::span<const PlanAcquisition> acqs, const ResolutionPass& pass) {
+  std::vector<PassItem> items;
+  for (const PlanAcquisition& a : acqs)
+    for (std::size_t ei = 0; ei < ke.enumerators.size(); ++ei) {
+      const Enumerator& e = ke.enumerators[ei];
+      if (!pass.consumes(e, ei)) continue;
+      const codegen::MaterializedRanges& mr = a.ranges[ei];
+      items.push_back(PassItem{a.gpu, args[e.argIndex()].buffer, &mr.ranges,
+                               mr.info.logicalRows, a.cached});
+    }
+  return items;
+}
+
+support::SmallVec<VirtualBuffer*, 8> Runtime::assignShards(
+    std::span<PassItem> items) {
+  // Kernels take a handful of array arguments, so a linear search is all
+  // the deduplication needs.
   support::SmallVec<VirtualBuffer*, 8> buffers;
-  for (std::size_t ei = 0; ei < ke.enumerators.size(); ++ei) {
-    const Enumerator& e = ke.enumerators[ei];
-    if (!pass.consumes(e, ei)) continue;
-    VirtualBuffer* vb = args[e.argIndex()].buffer;
-    PP_ASSERT(vb != nullptr);
-    if (std::find(buffers.begin(), buffers.end(), vb) == buffers.end())
-      buffers.push_back(vb);
+  for (PassItem& it : items) {
+    PP_ASSERT(it.buffer != nullptr);
+    auto pos = std::find(buffers.begin(), buffers.end(), it.buffer);
+    it.shard = static_cast<std::size_t>(pos - buffers.begin());
+    if (pos == buffers.end()) buffers.push_back(it.buffer);
   }
   return buffers;
 }
@@ -1073,135 +975,146 @@ std::vector<Runtime::PlanAcquisition> Runtime::acquirePlans(
 
 void Runtime::synchronizeReads(KernelEntry& ke, const LaunchConfig& cfg,
                                std::span<const LaunchArg> args,
-                               std::span<const i64> scalars) {
-  ResolutionTimer timer(*this);
-  trace::Span span(config_.tracer, "runtime", "sync-reads");
-  // While the inspector is active, the whole-extent enumerators of
-  // inspectable may-read args are skipped: synchronizeMayAccessReads()
-  // replaces them with the exact inspected footprints.
-  const ResolutionPass pass{
-      false, inspectorActiveFor(ke) ? &ke.enumIsMayRead : nullptr};
-  std::vector<PlanAcquisition> acqs = acquirePlans(ke, cfg, scalars, pass);
-  const std::size_t numEnums = ke.enumerators.size();
-  const support::SmallVec<VirtualBuffer*, 8> buffers =
-      passBuffers(ke, args, pass);
+                               std::span<const i64> scalars,
+                               const InspectedFootprints* fp) {
+  {
+    ResolutionTimer timer(*this);
+    trace::Span span(config_.tracer, "runtime", "sync-reads");
+    // With inspected footprints, the whole-extent enumerators of inspectable
+    // may-read args are skipped: the second pass below reads exactly the
+    // footprints instead.
+    const ResolutionPass pass{false,
+                              fp != nullptr ? &ke.enumIsMayRead : nullptr};
+    std::vector<PlanAcquisition> acqs = acquirePlans(ke, cfg, scalars, pass);
+    resolveReads(passItems(ke, args, acqs, pass), "resolve-reads",
+                 /*countLogicalRows=*/true);
+  }
+  if (fp == nullptr) return;
 
-  // Phase 2 output per (acquisition, enumerator): the transfer decisions,
-  // stored contiguously in the buffer's shard list, and the query counts.
+  // Inspected may-reads: a second pass of the same engine, in its own
+  // wall-time window, over the per-(GPU, arg) footprints.  Footprint ranges
+  // are exact element runs, not the paper's row steps: each is charged one
+  // uncached row and none counts toward logicalRowsResolved.  Empty
+  // footprints are no work at all (not even the per-array charge).
+  ResolutionTimer timer(*this);
+  trace::Span span(config_.tracer, "runtime", "sync-may-reads");
+  std::vector<PassItem> items;
+  for (int gpu = 0; gpu < config_.numGpus; ++gpu)
+    for (std::size_t si = 0; si < ke.mayReadArgs.size(); ++si) {
+      const auto& ranges = fp->ranges[si][static_cast<std::size_t>(gpu)];
+      if (ranges.empty()) continue;
+      items.push_back(PassItem{gpu, args[ke.mayReadArgs[si]].buffer, &ranges,
+                               static_cast<i64>(ranges.size()), false});
+    }
+  resolveReads(std::move(items), "resolve-may-reads",
+               /*countLogicalRows=*/false);
+}
+
+void Runtime::resolveReads(std::vector<PassItem> items, const char* costLabel,
+                           bool countLogicalRows) {
+  const support::SmallVec<VirtualBuffer*, 8> buffers = assignShards(items);
+
+  // Phase 2 output per item: the transfer decisions, stored contiguously in
+  // the buffer's shard list, and the query counts.
   struct Transfer {
     i64 begin = 0;
     i64 end = 0;
     Owner owner = kOwnerUndefined;
   };
-  struct EnumResolution {
+  struct ItemResolution {
     i64 segments = 0;
     i64 sharedHits = 0;
-    std::size_t shard = 0;
     std::size_t firstTransfer = 0;
     std::size_t endTransfer = 0;
   };
-  std::vector<EnumResolution> results(acqs.size() * numEnums);
+  std::vector<ItemResolution> results(items.size());
   std::vector<std::vector<Transfer>> transfers(buffers.size());
 
   runResolutionTasks("phase2:tracker-tasks", static_cast<i64>(buffers.size()),
                      [&](i64 s) {
     const std::size_t shard = static_cast<std::size_t>(s);
-    VirtualBuffer* vb = buffers[shard];
     std::vector<Transfer>& out = transfers[shard];
     std::vector<std::pair<i64, i64>> sharerScratch;  // task-local
-    for (std::size_t ai = 0; ai < acqs.size(); ++ai) {
-      const int gpu = acqs[ai].gpu;
-      for (std::size_t ei = 0; ei < numEnums; ++ei) {
-        const Enumerator& e = ke.enumerators[ei];
-        if (!pass.consumes(e, ei) || args[e.argIndex()].buffer != vb) continue;
-        EnumResolution& r = results[ai * numEnums + ei];
-        r.shard = shard;
-        r.firstTransfer = out.size();
-        for (const auto& [elemB, elemE] : acqs[ai].ranges[ei].ranges) {
-          vb->tracker_.querySharers(
-              elemB * kElemBytes, elemE * kElemBytes,
-              [&](i64 b, i64 en, Owner owner, u64 sharers) {
-                ++r.segments;
-                // Up to date here, or never written.
-                if (owner == gpu || owner < 0) return;
-                // Sharer bits are consulted when either feature maintains
-                // them: trackSharedCopies records reactive replicas, the
-                // dataflow planner records prefetched ones.
-                if ((config_.trackSharedCopies || config_.dataflowPlanning) &&
-                    gpu < 64 && (sharers & (u64{1} << gpu)) != 0) {
-                  ++r.sharedHits;  // replica already valid here
-                  return;
-                }
-                if (config_.enableTransfers) {
-                  out.push_back(Transfer{b, en, owner});
-                  if (config_.trackSharedCopies)
-                    sharerScratch.emplace_back(b, en);
-                }
-              });
-          // Record the new replicas outside the query traversal (addSharer
-          // mutates the tracker).
-          for (const auto& [b, en] : sharerScratch)
-            vb->tracker_.addSharer(b, en, gpu);
-          sharerScratch.clear();
-        }
-        r.endTransfer = out.size();
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      const PassItem& it = items[i];
+      if (it.shard != shard) continue;
+      ItemResolution& r = results[i];
+      r.firstTransfer = out.size();
+      for (const auto& [elemB, elemE] : *it.ranges) {
+        it.buffer->tracker_.querySharers(
+            elemB * kElemBytes, elemE * kElemBytes,
+            [&](i64 b, i64 en, Owner owner, u64 sharers) {
+              ++r.segments;
+              // Up to date here, or never written.
+              if (owner == it.gpu || owner < 0) return;
+              // Only trackSharedCopies (reactive replicas) and the dataflow
+              // planner (prefetched ones) record sharers off the owner.
+              if (hasReplica(sharers, it.gpu)) {
+                ++r.sharedHits;  // replica already valid here
+                return;
+              }
+              if (config_.enableTransfers) {
+                out.push_back(Transfer{b, en, owner});
+                if (config_.trackSharedCopies)
+                  sharerScratch.emplace_back(b, en);
+              }
+            });
+        // Record the new replicas outside the query traversal (addSharer
+        // mutates the tracker).
+        for (const auto& [b, en] : sharerScratch)
+          it.buffer->tracker_.addSharer(b, en, it.gpu);
+        sharerScratch.clear();
       }
+      r.endTransfer = out.size();
     }
   });
 
-  // Ordered commit: (gpu ascending, enumerator ascending, transfers in
-  // decision order, then the modeled per-array cost).  With scheduling on,
-  // the same canonical order instead populates the TransferPlan, so the
-  // schedule — and everything downstream of it — is schedule-independent
-  // too.
+  // Ordered commit: items in canonical order, each with its transfers in
+  // decision order, then its modeled cost.  With scheduling on, the same
+  // order instead populates the TransferPlan, so the schedule — and
+  // everything downstream of it — is schedule-independent too.
   trace::Span phase3(config_.tracer, "runtime", "phase3:commit");
   std::unique_ptr<TransferPlan> xferPlan = makeTransferPlan();
-  for (std::size_t ai = 0; ai < acqs.size(); ++ai) {
-    const PlanAcquisition& a = acqs[ai];
-    for (std::size_t ei = 0; ei < numEnums; ++ei) {
-      const Enumerator& e = ke.enumerators[ei];
-      if (!pass.consumes(e, ei)) continue;
-      VirtualBuffer* vb = args[e.argIndex()].buffer;
-      const EnumResolution& r = results[ai * numEnums + ei];
-      const std::vector<Transfer>& shardTransfers = transfers[r.shard];
-      for (std::size_t ti = r.firstTransfer; ti < r.endTransfer; ++ti) {
-        const Transfer& t = shardTransfers[ti];
-        if (xferPlan != nullptr) {
-          xferPlan->add(vb, a.gpu, static_cast<int>(t.owner), t.begin, t.end);
-          continue;
-        }
-        machine_->copyPeer(vb->instances_[static_cast<std::size_t>(a.gpu)],
-                           t.begin,
-                           vb->instances_[static_cast<std::size_t>(t.owner)],
-                           t.begin, t.end - t.begin);
-        ++stats_.peerCopies;
-        trace::instant(
-            config_.tracer, "transfer", "peer-copy",
-            {{"src", t.owner}, {"dst", a.gpu}, {"bytes", t.end - t.begin}});
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const PassItem& it = items[i];
+    VirtualBuffer* vb = it.buffer;
+    const ItemResolution& r = results[i];
+    const std::vector<Transfer>& shardTransfers = transfers[it.shard];
+    for (std::size_t ti = r.firstTransfer; ti < r.endTransfer; ++ti) {
+      const Transfer& t = shardTransfers[ti];
+      if (xferPlan != nullptr) {
+        xferPlan->add(vb, it.gpu, static_cast<int>(t.owner), t.begin, t.end);
+        continue;
       }
-      // With shared-copy tracking on, sharer hits are its; otherwise only
-      // prefetched replicas can set sharer bits, so they are the planner's.
-      if (config_.trackSharedCopies)
-        stats_.sharedCopyHits += r.sharedHits;
-      else
-        stats_.prefetchHits += r.sharedHits;
-      const codegen::EnumInfo& info = a.ranges[ei].info;
-      stats_.rangesResolved += info.ranges;
-      stats_.logicalRowsResolved += info.logicalRows;
-      stats_.trackerSegmentsVisited += r.segments;
-      double rowCost = a.cached ? config_.cachedResolutionCostPerRow
-                                : config_.resolutionCostPerRow;
-      double perRow = rowCost + (config_.enableTransfers
-                                     ? config_.transferIssueCostPerRow
-                                     : 0);
-      double cost =
-          config_.resolutionCostPerArray +
-          perRow * static_cast<double>(info.logicalRows + r.segments);
-      double simStart = machine_->now();
-      machine_->advanceHost(cost);
-      trace::simSpan(config_.tracer, "sim.pattern", "resolve-reads",
-                     sim::kSimHostTrack, simStart, cost, {{"gpu", a.gpu}});
+      machine_->copyPeer(vb->instances_[static_cast<std::size_t>(it.gpu)],
+                         t.begin,
+                         vb->instances_[static_cast<std::size_t>(t.owner)],
+                         t.begin, t.end - t.begin);
+      ++stats_.peerCopies;
+      trace::instant(
+          config_.tracer, "transfer", "peer-copy",
+          {{"src", t.owner}, {"dst", it.gpu}, {"bytes", t.end - t.begin}});
     }
+    // With shared-copy tracking on, sharer hits are its; otherwise only
+    // prefetched replicas can set sharer bits, so they are the planner's.
+    if (config_.trackSharedCopies)
+      stats_.sharedCopyHits += r.sharedHits;
+    else
+      stats_.prefetchHits += r.sharedHits;
+    stats_.rangesResolved += static_cast<i64>(it.ranges->size());
+    if (countLogicalRows) stats_.logicalRowsResolved += it.rows;
+    stats_.trackerSegmentsVisited += r.segments;
+    double rowCost = it.cached ? config_.cachedResolutionCostPerRow
+                               : config_.resolutionCostPerRow;
+    double perRow =
+        rowCost + (config_.enableTransfers ? config_.transferIssueCostPerRow
+                                           : 0);
+    double cost = config_.resolutionCostPerArray +
+                  perRow * static_cast<double>(it.rows + r.segments);
+    double simStart = machine_->now();
+    machine_->advanceHost(cost);
+    trace::simSpan(config_.tracer, "sim.pattern", costLabel, sim::kSimHostTrack,
+                   simStart, cost, {{"gpu", it.gpu}});
   }
   if (xferPlan != nullptr) issueTransferPlan(*xferPlan);
 }
@@ -1213,38 +1126,31 @@ void Runtime::updateTrackers(KernelEntry& ke, const LaunchConfig& cfg,
   trace::Span span(config_.tracer, "runtime", "update-trackers");
   const ResolutionPass pass{true, nullptr};
   std::vector<PlanAcquisition> acqs = acquirePlans(ke, cfg, scalars, pass);
-  const std::size_t numEnums = ke.enumerators.size();
-  const support::SmallVec<VirtualBuffer*, 8> buffers =
-      passBuffers(ke, args, pass);
+  std::vector<PassItem> items = passItems(ke, args, acqs, pass);
+  const support::SmallVec<VirtualBuffer*, 8> buffers = assignShards(items);
 
   runResolutionTasks("phase2:tracker-tasks", static_cast<i64>(buffers.size()),
                      [&](i64 s) {
-    VirtualBuffer* vb = buffers[static_cast<std::size_t>(s)];
-    for (const PlanAcquisition& a : acqs)
-      for (std::size_t ei = 0; ei < numEnums; ++ei) {
-        const Enumerator& e = ke.enumerators[ei];
-        if (!pass.consumes(e, ei) || args[e.argIndex()].buffer != vb) continue;
-        for (const auto& [elemB, elemE] : a.ranges[ei].ranges)
-          vb->tracker_.update(elemB * kElemBytes, elemE * kElemBytes, a.gpu);
-      }
+    for (const PassItem& it : items) {
+      if (it.shard != static_cast<std::size_t>(s)) continue;
+      for (const auto& [elemB, elemE] : *it.ranges)
+        it.buffer->tracker_.update(elemB * kElemBytes, elemE * kElemBytes,
+                                   it.gpu);
+    }
   });
 
   trace::Span phase3(config_.tracer, "runtime", "phase3:commit");
-  for (const PlanAcquisition& a : acqs) {
-    for (std::size_t ei = 0; ei < numEnums; ++ei) {
-      if (!pass.consumes(ke.enumerators[ei], ei)) continue;
-      const codegen::EnumInfo& info = a.ranges[ei].info;
-      stats_.rangesResolved += info.ranges;
-      stats_.logicalRowsResolved += info.logicalRows;
-      double rowCost = a.cached ? config_.cachedResolutionCostPerRow
-                                : config_.resolutionCostPerRow;
-      double cost = config_.resolutionCostPerArray +
-                    rowCost * static_cast<double>(info.logicalRows);
-      double simStart = machine_->now();
-      machine_->advanceHost(cost);
-      trace::simSpan(config_.tracer, "sim.pattern", "update-writes",
-                     sim::kSimHostTrack, simStart, cost, {{"gpu", a.gpu}});
-    }
+  for (const PassItem& it : items) {
+    stats_.rangesResolved += static_cast<i64>(it.ranges->size());
+    stats_.logicalRowsResolved += it.rows;
+    double rowCost = it.cached ? config_.cachedResolutionCostPerRow
+                               : config_.resolutionCostPerRow;
+    double cost = config_.resolutionCostPerArray +
+                  rowCost * static_cast<double>(it.rows);
+    double simStart = machine_->now();
+    machine_->advanceHost(cost);
+    trace::simSpan(config_.tracer, "sim.pattern", "update-writes",
+                   sim::kSimHostTrack, simStart, cost, {{"gpu", it.gpu}});
   }
 }
 
@@ -1444,8 +1350,7 @@ void Runtime::executeLaunch(PendingLaunch& pl) {
     // can skip their whole-extent enumerators.
     std::shared_ptr<const InspectedFootprints> fp;
     if (inspectorActiveFor(ke)) fp = inspectFootprints(ke, cfg, args, scalars);
-    synchronizeReads(ke, cfg, args, scalars);
-    if (fp != nullptr) synchronizeMayAccessReads(ke, args, *fp);
+    synchronizeReads(ke, cfg, args, scalars, fp.get());
     if (!planned) machine_->synchronizeAll();
   }
 

@@ -357,86 +357,95 @@ struct LaunchArg {
   static LaunchArg ofBuffer(VirtualBuffer* b) { return {{}, b}; }
 };
 
-/// Counters for the overhead analysis (Section 9.2).
+/// Every RuntimeStats counter, once, in declaration order:
+/// X(type, name, kind).  `kind` is Deterministic for the counters every
+/// determinism guarantee (resolution width, pipeline depth, enumerator tier,
+/// tracing) promises to keep byte-identical, and Meta for the engine and
+/// cache-telemetry meta-counters, which describe *how* the runtime executed,
+/// not what it computed:
+///   - resolutionTasks is 0 when the engine runs inline (resolutionThreads
+///     0), and the wall-clock fields are nondeterministic by nature
+///     (tests/parallel_resolution_test.cpp);
+///   - the FM-memoization counters are process-wide (pset's projection memo
+///     is one table per process), diffed against a baseline taken at Runtime
+///     construction, and the specialized-program counters sum over this
+///     runtime's enumerators.  Both are sampled at the end of every launch;
+///     parallel resolution can race two misses on one key, so they are
+///     monotone telemetry (tests/cache_counters_test.cpp asserts
+///     monotonicity and hit/miss consistency instead).
+/// The struct members, deterministicStats(), the per-tenant stats diff and
+/// the tests' field-wise sums all expand this list.
+#define POLYPART_RUNTIME_STATS(X)                                            \
+  X(i64, launches, Deterministic)                                            \
+  X(i64, rangesResolved, Deterministic) /* enumerated ranges, all launches */ \
+  X(i64, logicalRowsResolved, Deterministic) /* paper per-row steps */        \
+  X(i64, trackerSegmentsVisited, Deterministic)                              \
+  X(i64, peerCopies, Deterministic)                                          \
+  X(i64, sharedCopyHits, Deterministic) /* avoided by shared-copy tracking */ \
+  X(i64, enumCacheHits, Deterministic)   /* plans replayed from the cache */  \
+  X(i64, enumCacheMisses, Deterministic) /* plans materialized */             \
+  X(i64, enumCacheEvictions, Deterministic) /* dropped by the FIFO bound */   \
+  /* Transfer-scheduler counters (all 0 with transferScheduling off). */     \
+  X(i64, transfersMerged, Deterministic) /* folded by same-link merging */    \
+  X(i64, broadcastChains, Deterministic) /* re-sourced from a replica */      \
+  X(i64, bytesSavedByDedup, Deterministic) /* not re-moved: merging */        \
+  /* Dataflow-planner counters (all 0 with dataflowPlanning off). */         \
+  X(i64, planActivations, Deterministic) /* launch cycles compiled */         \
+  X(i64, planDivergences, Deterministic) /* plans left off-cycle */           \
+  X(i64, plannedLaunches, Deterministic) /* launches matching the plan */     \
+  X(i64, prefetchCopies, Deterministic)  /* eager copies from flow edges */   \
+  X(i64, bytesPrefetched, Deterministic) /* bytes they moved, post-merge */   \
+  X(i64, bytesElided, Deterministic) /* flow bytes dead before a read */      \
+  X(i64, prefetchHits, Deterministic) /* reactive copies skipped */           \
+  /* Elastic-repartitioning counters (all 0 unless repartition(), */         \
+  /* checkpoint() or recoverDevice() are called). */                         \
+  X(i64, repartitions, Deterministic) /* calls that changed weights */        \
+  X(i64, repartitionCopies, Deterministic) /* peer copies of transitions */   \
+  X(i64, bytesRepartitioned, Deterministic) /* bytes those copies moved */    \
+  X(i64, bytesRepartitionFootprint, Deterministic) /* new-footprint bound */  \
+  X(i64, checkpoints, Deterministic)                                         \
+  X(i64, bytesCheckpointed, Deterministic) /* exclusive bytes snapshotted */  \
+  X(i64, recoveries, Deterministic)                                          \
+  X(i64, restoreCopies, Deterministic) /* H2D copies of checkpointed data */  \
+  X(i64, bytesRestored, Deterministic)                                       \
+  X(i64, bytesAdopted, Deterministic) /* lost bytes re-owned from replicas */ \
+  /* May-access tier counters (all 0 for purely affine kernels). */          \
+  X(i64, mayAccessLaunches, Deterministic)                                   \
+  X(i64, inspectorRuns, Deterministic) /* host-side inspection walks */       \
+  X(i64, inspectorCacheHits, Deterministic)                                  \
+  X(i64, inspectorCacheMisses, Deterministic)                                \
+  X(i64, inspectorCacheInvalidations, Deterministic) /* stale footprints */   \
+  X(i64, inspectedElements, Deterministic) /* may-read accesses observed */   \
+  /* Engine meta-counters. */                                                \
+  X(i64, resolutionTasks, Meta)          /* tasks run on the pool */          \
+  X(double, resolutionWallSeconds, Meta) /* real host time resolving */       \
+  X(double, parallelWallSeconds, Meta)   /* real time in parallel phases */   \
+  /* Cache-telemetry meta-counters. */                                       \
+  X(i64, fmMemoHits, Meta)                                                   \
+  X(i64, fmMemoMisses, Meta)                                                 \
+  X(i64, fmMemoEvictions, Meta)                                              \
+  X(i64, specProgramHits, Meta)                                              \
+  X(i64, specProgramMisses, Meta)                                            \
+  X(i64, specProgramEvictions, Meta)
+
+/// Counters for the overhead analysis (Section 9.2); the fields are
+/// POLYPART_RUNTIME_STATS.
 struct RuntimeStats {
-  i64 launches = 0;
-  i64 rangesResolved = 0;       // enumerated ranges over all launches
-  i64 logicalRowsResolved = 0;  // paper-equivalent per-row resolution steps
-  i64 trackerSegmentsVisited = 0;
-  i64 peerCopies = 0;
-  i64 sharedCopyHits = 0;  // transfers avoided by shared-copy tracking
-  i64 enumCacheHits = 0;       // launch plans replayed from the cache
-  i64 enumCacheMisses = 0;     // launch plans materialized by enumeration
-  i64 enumCacheEvictions = 0;  // plans dropped by the bounded-size FIFO
-  // Transfer-scheduler counters (all 0 with transferScheduling off).
-  i64 transfersMerged = 0;    // decisions folded away by same-link merging
-  i64 broadcastChains = 0;    // copies re-sourced from a fresh replica
-  i64 bytesSavedByDedup = 0;  // storage bytes not re-moved thanks to merging
-  // Dataflow-planner counters (all 0 with dataflowPlanning off).
-  i64 planActivations = 0;  // launch cycles detected and compiled to a plan
-  i64 planDivergences = 0;  // active plans abandoned by an off-cycle launch
-  i64 plannedLaunches = 0;  // launches that matched the active plan
-  i64 prefetchCopies = 0;   // eager copies issued from compiled flow edges
-  i64 bytesPrefetched = 0;  // bytes moved by those copies (post-merge)
-  i64 bytesElided = 0;      // flow bytes proved dead before their next read
-  i64 prefetchHits = 0;     // reactive copies skipped via prefetched replicas
-  // Elastic-repartitioning counters (all 0 unless repartition()/checkpoint()/
-  // recoverDevice() are called).
-  i64 repartitions = 0;             // repartition() calls that changed weights
-  i64 repartitionCopies = 0;        // peer copies issued by transitions
-  i64 bytesRepartitioned = 0;       // bytes those copies moved
-  i64 bytesRepartitionFootprint = 0;  // full new-footprint upper bound
-  i64 checkpoints = 0;              // checkpoint() calls
-  i64 bytesCheckpointed = 0;        // exclusive bytes snapshotted to the host
-  i64 recoveries = 0;               // recoverDevice() calls
-  i64 restoreCopies = 0;            // H2D copies restoring checkpointed ranges
-  i64 bytesRestored = 0;            // bytes those copies restored
-  i64 bytesAdopted = 0;             // lost bytes re-owned from live replicas
-  // May-access tier counters (all 0 for purely affine kernels).
-  i64 mayAccessLaunches = 0;   // launches of kernels with may-access arrays
-  i64 inspectorRuns = 0;       // host-side inspection walks executed
-  i64 inspectorCacheHits = 0;  // launches served by a cached footprint set
-  i64 inspectorCacheMisses = 0;
-  i64 inspectorCacheInvalidations = 0;  // stale footprints dropped: an
-                                        // inspected buffer's content changed
-  i64 inspectedElements = 0;   // may-read accesses observed by the walks
-  // Engine meta-counters.  These describe *how* the resolution executed, not
-  // what it computed: wall-clock fields are nondeterministic by nature and
-  // resolutionTasks is 0 when the engine runs inline (resolutionThreads 0),
-  // so the determinism guarantee of RuntimeConfig::resolutionThreads covers
-  // every field above this line and excludes the three below
-  // (tests/parallel_resolution_test.cpp).
-  i64 resolutionTasks = 0;           // tasks executed on the resolution pool
-  double resolutionWallSeconds = 0;  // real host time spent resolving
-  double parallelWallSeconds = 0;    // real time inside parallel phases
-  // Cache-telemetry meta-counters, sampled at the end of every launch.  The
-  // FM-memoization counters are process-wide (pset's projection memo is one
-  // table per process) diffed against a baseline taken at Runtime
-  // construction; the specialized-program counters sum over this runtime's
-  // enumerators.  Both are observational: parallel resolution can race two
-  // misses on one key, so they are monotone telemetry, not byte-deterministic
-  // state — like the fields above, they are excluded from the determinism
-  // guarantee (tests/cache_counters_test.cpp asserts monotonicity and
-  // hit/miss consistency instead).
-  i64 fmMemoHits = 0;
-  i64 fmMemoMisses = 0;
-  i64 fmMemoEvictions = 0;
-  i64 specProgramHits = 0;
-  i64 specProgramMisses = 0;
-  i64 specProgramEvictions = 0;
+#define POLYPART_STATS_MEMBER(type, name, kind) type name = 0;
+  POLYPART_RUNTIME_STATS(POLYPART_STATS_MEMBER)
+#undef POLYPART_STATS_MEMBER
 
   bool operator==(const RuntimeStats&) const = default;
 };
 
-/// `s` without the engine and cache-telemetry meta-counters: the part of the
-/// stats every determinism guarantee (resolution width, pipeline depth,
-/// enumerator tier, tracing) promises to keep byte-identical.
+/// `s` with the Meta counters zeroed: the part of the stats every
+/// determinism guarantee promises to keep byte-identical.
 inline RuntimeStats deterministicStats(RuntimeStats s) {
-  s.resolutionTasks = 0;
-  s.resolutionWallSeconds = 0;
-  s.parallelWallSeconds = 0;
-  s.fmMemoHits = s.fmMemoMisses = s.fmMemoEvictions = 0;
-  s.specProgramHits = s.specProgramMisses = s.specProgramEvictions = 0;
+  enum { Deterministic, Meta };
+#define POLYPART_STATS_ZERO_META(type, name, kind) \
+  if (kind == Meta) s.name = 0;
+  POLYPART_RUNTIME_STATS(POLYPART_STATS_ZERO_META)
+#undef POLYPART_STATS_ZERO_META
   return s;
 }
 
@@ -449,8 +458,8 @@ struct TenantStats {
   /// aggregate counters across each of its launches, accumulated at commit.
   /// The wall-clock meta-counters follow the same caveat as RuntimeStats —
   /// submit-side pre-materialization windows of *other* tenants that overlap
-  /// a commit land in whichever launch is committing, so only the fields
-  /// above the meta-counter line are deterministic.
+  /// a commit land in whichever launch is committing, so only the
+  /// Deterministic counters of POLYPART_RUNTIME_STATS are deterministic.
   RuntimeStats resolved;
 
   bool operator==(const TenantStats&) const = default;
@@ -684,6 +693,19 @@ class Runtime {
     bool cached = false;
   };
 
+  /// One (device, buffer) unit of a resolution pass: the element `ranges`
+  /// that device `gpu` reads or wrote in `buffer`, charged `rows` modeled
+  /// resolution rows at the cached or uncached rate.  `shard` is the
+  /// buffer's phase-2 task (assignShards).
+  struct PassItem {
+    int gpu = 0;
+    VirtualBuffer* buffer = nullptr;
+    const std::vector<std::pair<i64, i64>>* ranges = nullptr;
+    i64 rows = 0;
+    bool cached = false;
+    std::size_t shard = 0;
+  };
+
   /// RAII wall-clock window accumulating into stats_.resolutionWallSeconds
   /// (under statsMutex_: pipelined mode opens windows on the submitting
   /// thread — pre-materialization — concurrently with the engine thread's
@@ -743,13 +765,6 @@ class Runtime {
   std::shared_ptr<const InspectedFootprints> inspectFootprints(
       KernelEntry& ke, const ir::LaunchConfig& cfg,
       std::span<const LaunchArg> args, std::span<const i64> scalars);
-  /// Read synchronization for the inspected footprints, replacing the
-  /// skipped whole-extent enumerators with the same tracker-query /
-  /// sharer-skip / transfer-plan / modeled-cost sequence as the regular
-  /// read sync.
-  void synchronizeMayAccessReads(KernelEntry& ke,
-                                 std::span<const LaunchArg> args,
-                                 const InspectedFootprints& fp);
   /// The pre-partition gather for read-modify-write may-access args: before
   /// partition `gpu` launches, every byte of each rmwMayArgs buffer owned
   /// elsewhere is copied to `gpu` so the partition observes its
@@ -786,18 +801,31 @@ class Runtime {
                                             const ir::LaunchConfig& cfg,
                                             std::span<const i64> scalars,
                                             const ResolutionPass& pass);
-  /// The distinct buffers `pass` touches, in first-use order: one phase-2
-  /// task each.
-  static support::SmallVec<VirtualBuffer*, 8> passBuffers(
-      const KernelEntry& ke, std::span<const LaunchArg> args,
-      const ResolutionPass& pass);
-  /// Phases 2+3 for the read sets (Fig. 4, first loop): per-buffer sharded
-  /// tracker queries with task-local sharer scratch, then a deterministic
-  /// ordered commit of the collected transfer decisions into the machine
-  /// model.
+  /// The items of an enumerated pass: acquisitions x consumed enumerators,
+  /// in that (canonical) order.  Items point into `acqs`.
+  static std::vector<PassItem> passItems(const KernelEntry& ke,
+                                         std::span<const LaunchArg> args,
+                                         std::span<const PlanAcquisition> acqs,
+                                         const ResolutionPass& pass);
+  /// Sets each item's shard and returns the distinct buffers in first-use
+  /// order: one phase-2 task each.
+  static support::SmallVec<VirtualBuffer*, 8> assignShards(
+      std::span<PassItem> items);
+  /// The read sync (Fig. 4, first loop).  One engine pass over the
+  /// enumerated read sets; with inspected footprints `fp`, a second pass
+  /// (its own wall-time window and transfer plan) over the exact may-read
+  /// footprints whose whole-extent enumerators the first pass skipped.
   void synchronizeReads(KernelEntry& ke, const ir::LaunchConfig& cfg,
                         std::span<const LaunchArg> args,
-                        std::span<const i64> scalars);
+                        std::span<const i64> scalars,
+                        const InspectedFootprints* fp);
+  /// Phases 2+3 of one read pass: per-buffer sharded tracker queries with
+  /// task-local sharer scratch, then a deterministic ordered commit of the
+  /// collected transfer decisions and the modeled costs (`costLabel` sim
+  /// spans) into the machine model.  `countLogicalRows` adds the items'
+  /// rows to RuntimeStats::logicalRowsResolved.
+  void resolveReads(std::vector<PassItem> items, const char* costLabel,
+                    bool countLogicalRows);
   /// Phases 2+3 for the write sets (Fig. 4, third loop): per-buffer sharded
   /// tracker updates, then the ordered commit of the modeled bookkeeping
   /// costs.

@@ -87,6 +87,13 @@ using SegmentFn = std::function<void(i64 begin, i64 end, Owner owner)>;
 using SharedSegmentFn =
     std::function<void(i64 begin, i64 end, Owner owner, u64 sharers)>;
 
+/// True when the sharer set `sharers` records a valid copy on `device`.  The
+/// bitmap has 64 bits, so devices outside it never hold a recorded replica
+/// (addSharer() ignores them).
+inline bool hasReplica(u64 sharers, int device) {
+  return device >= 0 && device < 64 && (sharers & (u64{1} << device)) != 0;
+}
+
 template <template <typename, typename> class MapT>
 class SegmentTrackerT {
  public:

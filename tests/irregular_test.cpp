@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "analysis/analyze.h"
@@ -223,10 +224,12 @@ INSTANTIATE_TEST_SUITE_P(BothModes, IrregularModes, ::testing::Bool(),
 
 // --------------------------------------------------------------------------
 // Full knob sweep: inspectorExecutor x enumerationCache x resolutionThreads
-// x pipelineDepth x dataflowPlanning, all three workloads.  Bytes compare
+// x pipelineDepth x dataflowPlanning, all three workloads; inspector-on cells
+// also sweep trackSharedCopies x transferScheduling, the sharer-recording and
+// scheduled-plan branches of the inspected may-read pass.  Bytes compare
 // against the CPU reference everywhere; the deterministic stats must be
-// engine-invariant within each (inspector, cache, planning) cell (threads
-// and depth may never perturb them).
+// engine-invariant within each (inspector, cache, planning, shared,
+// scheduling) cell (threads and depth may never perturb them).
 
 TEST(Irregular, ByteIdenticalAcrossAllKnobs) {
   Rng rng(414);
@@ -247,13 +250,25 @@ TEST(Irregular, ByteIdenticalAcrossAllKnobs) {
   std::vector<double> expHist(static_cast<std::size_t>(nbins), 0.0);
   apps::refHistogram(keys, expHist);
 
-  auto run = [&](bool inspector, bool cache, int threads, int depth,
-                 bool planning, RuntimeStats* statsOut) {
-    RuntimeConfig cfg = irregularConfig(4, inspector);
-    cfg.enableEnumerationCache = cache;
+  struct Cell {
+    bool inspector, cache, planning, shared, sched;
+    std::string name() const {
+      return "inspector=" + std::to_string(inspector) +
+             " cache=" + std::to_string(cache) +
+             " planning=" + std::to_string(planning) +
+             " shared=" + std::to_string(shared) +
+             " sched=" + std::to_string(sched);
+    }
+  };
+  auto run = [&](const Cell& c, int threads, int depth,
+                 RuntimeStats* statsOut) {
+    RuntimeConfig cfg = irregularConfig(4, c.inspector);
+    cfg.enableEnumerationCache = c.cache;
     cfg.resolutionThreads = threads;
     cfg.pipelineDepth = depth;
-    cfg.dataflowPlanning = planning;
+    cfg.dataflowPlanning = c.planning;
+    cfg.trackSharedCopies = c.shared;
+    cfg.transferScheduling = c.sched;
     Runtime rt(cfg, irregularModel(), irregularModule());
 
     std::vector<double> gotSpmv(static_cast<std::size_t>(n), -9.0);
@@ -271,32 +286,30 @@ TEST(Irregular, ByteIdenticalAcrossAllKnobs) {
     *statsOut = deterministicStats(rt.stats());
   };
 
-  for (bool inspector : {false, true}) {
-    for (bool cache : {false, true}) {
-      for (bool planning : {false, true}) {
-        RuntimeStats refStats;
-        {
-          SCOPED_TRACE("reference: inspector=" + std::to_string(inspector) +
-                       " cache=" + std::to_string(cache) + " planning=" +
-                       std::to_string(planning));
-          run(inspector, cache, /*threads=*/0, /*depth=*/0, planning,
-              &refStats);
-        }
-        EXPECT_EQ(refStats.inspectorRuns > 0, inspector);
-        for (int threads : {0, 3}) {
-          for (int depth : {0, 2}) {
-            if (threads == 0 && depth == 0) continue;
-            SCOPED_TRACE("inspector=" + std::to_string(inspector) + " cache=" +
-                         std::to_string(cache) + " planning=" +
-                         std::to_string(planning) + " threads=" +
-                         std::to_string(threads) + " depth=" +
-                         std::to_string(depth));
-            RuntimeStats s;
-            run(inspector, cache, threads, depth, planning, &s);
-            EXPECT_EQ(s, refStats)
-                << "threads/depth perturb deterministic runtime statistics";
-          }
-        }
+  std::vector<Cell> cells;
+  for (bool inspector : {false, true})
+    for (bool cache : {false, true})
+      for (bool planning : {false, true})
+        for (bool shared : {false, true})
+          for (bool sched : {false, true})
+            if (inspector || (!shared && !sched))
+              cells.push_back(Cell{inspector, cache, planning, shared, sched});
+  for (const Cell& c : cells) {
+    RuntimeStats refStats;
+    {
+      SCOPED_TRACE("reference: " + c.name());
+      run(c, /*threads=*/0, /*depth=*/0, &refStats);
+    }
+    EXPECT_EQ(refStats.inspectorRuns > 0, c.inspector);
+    for (int threads : {0, 3}) {
+      for (int depth : {0, 2}) {
+        if (threads == 0 && depth == 0) continue;
+        SCOPED_TRACE(c.name() + " threads=" + std::to_string(threads) +
+                     " depth=" + std::to_string(depth));
+        RuntimeStats s;
+        run(c, threads, depth, &s);
+        EXPECT_EQ(s, refStats)
+            << "threads/depth perturb deterministic runtime statistics";
       }
     }
   }

@@ -196,6 +196,33 @@ TEST(Runtime, BadLaunchArgumentsThrow) {
   }
 }
 
+// Bad config values are user input as well: the constructor throws an Error
+// naming the field and its value before it builds anything.
+TEST(Runtime, BadConfigThrows) {
+  ir::Module mod = apps::buildBenchmarkModule();
+  const analysis::ApplicationModel model = analysis::analyzeModule(mod);
+  auto message = [&](void (*edit)(RuntimeConfig&)) -> std::string {
+    RuntimeConfig cfg;
+    cfg.numGpus = 2;
+    edit(cfg);
+    try {
+      Runtime rt(cfg, model, mod);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(message([](RuntimeConfig& c) { c.numGpus = 0; }),
+            "RuntimeConfig::numGpus must be >= 1, got 0");
+  EXPECT_EQ(message([](RuntimeConfig& c) { c.numTenants = 0; }),
+            "RuntimeConfig::numTenants must be >= 1, got 0");
+  EXPECT_EQ(message([](RuntimeConfig& c) { c.pipelineDepth = -1; }),
+            "RuntimeConfig::pipelineDepth must be >= 0, got -1");
+  EXPECT_EQ(message([](RuntimeConfig& c) { c.maxInFlightPerTenant = -2; }),
+            "RuntimeConfig::maxInFlightPerTenant must be >= 0, got -2");
+  EXPECT_EQ(message([](RuntimeConfig& c) { c.pipelineDepth = 1; }), "no error");
+}
+
 // Integer division by zero inside a kernel is an Error thrown out of the
 // Functional launch, not an abort; the runtime stays usable.
 TEST(Runtime, KernelDivisionByZeroThrows) {

@@ -185,6 +185,60 @@ TEST(Trace, SerialResolutionPassesShowTheirPhases) {
   EXPECT_GT(passes, 0);
 }
 
+// Inspected may-reads are a second pass of the same engine, not a loop of
+// their own: every sync-may-reads span splits into the tracker phase and the
+// ordered commit, inline and on the pool alike.
+TEST(Trace, InspectorReadPassShowsItsPhases) {
+  static ir::Module mod = apps::buildIrregularModule();
+  static analysis::ApplicationModel model = analysis::analyzeModule(mod);
+  // A tridiagonal 96x96 matrix: every partition's x footprint crosses into
+  // its neighbours, so each GPU has a non-empty inspected read.
+  const i64 n = 96;
+  std::vector<i64> rowPtr{0}, colIdx;
+  for (i64 r = 0; r < n; ++r) {
+    for (i64 c = std::max<i64>(0, r - 1); c <= std::min<i64>(n - 1, r + 1); ++c)
+      colIdx.push_back(c);
+    rowPtr.push_back(static_cast<i64>(colIdx.size()));
+  }
+  const i64 nnz = static_cast<i64>(colIdx.size());
+  std::vector<double> vals(static_cast<std::size_t>(nnz), 0.5);
+  std::vector<double> x(static_cast<std::size_t>(n), 2.0);
+  for (int threads : {0, 3}) {
+    SCOPED_TRACE("resolutionThreads=" + std::to_string(threads));
+    Tracer tracer;
+    rt::RuntimeConfig cfg;
+    cfg.numGpus = 4;
+    cfg.mode = sim::ExecutionMode::Functional;
+    cfg.inspectorExecutor = true;
+    cfg.resolutionThreads = threads;
+    cfg.tracer = &tracer;
+    rt::Runtime rt(cfg, model, mod);
+    std::vector<double> y(static_cast<std::size_t>(n));
+    apps::runSpmv(rt,
+                  apps::CsrMatrix{n, n, nnz, rowPtr.data(), colIdx.data(),
+                                  vals.data()},
+                  x.data(), y.data());
+    EXPECT_EQ(rt.stats().inspectorRuns, 1);
+
+    i64 passes = 0;
+    for (const auto& [tid, ivs] : wallSpansByThread(tracer)) {
+      for (const Iv& pass : ivs) {
+        if (pass.name != "sync-may-reads") continue;
+        ++passes;
+        std::set<std::string> children;
+        for (const Iv& c : ivs)
+          if (&c != &pass && pass.b <= c.b && c.e <= pass.e)
+            children.insert(c.name);
+        for (const char* phase : {"phase2:tracker-tasks", "phase3:commit"})
+          EXPECT_TRUE(children.count(phase) != 0)
+              << "sync-may-reads at [" << pass.b << "," << pass.e
+              << ") lacks " << phase;
+      }
+    }
+    EXPECT_EQ(passes, 1);
+  }
+}
+
 TEST(Trace, PhaseBreakdownMatchesTraceAndMachineStats) {
   Tracer tracer;
   TracedRun run = runHotspot(&tracer, 0);
