@@ -15,7 +15,6 @@
 namespace polypart::rt {
 
 Checkpoint Runtime::checkpoint() {
-  drain();
   machine_->synchronizeAll();  // snapshots must see settled device data
   trace::Span span(config_.tracer, "runtime", "checkpoint");
   Checkpoint cp;
@@ -65,7 +64,6 @@ void Runtime::recoverDevice(int device, const Checkpoint& cp,
   if (!machine_->deviceFailed(device))
     throw Error("recoverDevice: device " + std::to_string(device) +
                 " has not failed");
-  drain();
   validatePartitioning(next);  // rejects any weight on the failed device
   trace::Span span(config_.tracer, "runtime", "recover-device", {},
                    {{"device", device}});

@@ -81,7 +81,6 @@ RepartitionResult Runtime::repartition(const std::string& kernelName,
     throw Error(
         "runtime repartitioning is disabled "
         "(RuntimeConfig::allowRepartitioning / POLYPART_ALLOW_REPARTITIONING)");
-  drain();  // the transition must see settled trackers and machine state
   KernelEntry& ke = entry(kernelName);
   validatePartitioning(next);
   // A geometry change invalidates every tenant's compiled dataflow cycle:

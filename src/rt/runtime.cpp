@@ -1,11 +1,10 @@
 #include "rt/runtime.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <thread>
+#include <optional>
 #include <tuple>
 #include <utility>
 
@@ -15,8 +14,6 @@
 #include "rt/transfer_plan.h"
 #include "support/env.h"
 #include "support/error.h"
-#include "support/pipeline.h"
-#include "support/thread_pool.h"
 #include "support/trace.h"
 
 namespace polypart::rt {
@@ -73,59 +70,40 @@ void addStatsDiff(RuntimeStats& into, const RuntimeStats& before,
 #undef POLYPART_STATS_DIFF
 }
 
+/// Runs body(0..n-1) in index order inside a `label` wall span (a string
+/// literal): one phase of a resolution pass.  A phase with no work records
+/// no span.
+template <class Body>
+void runPhase(trace::Tracer* tracer, const char* label, std::size_t n,
+              Body&& body) {
+  if (n == 0) return;
+  trace::Span span(tracer, "runtime", label, {},
+                   {{"tasks", static_cast<i64>(n)}});
+  for (std::size_t i = 0; i < n; ++i) body(i);
+}
+
 }  // namespace
 
 class Runtime::ResolutionTimer {
  public:
   explicit ResolutionTimer(Runtime& rt)
-      : rt_(rt), prev_(activeWindow()), t0_(std::chrono::steady_clock::now()) {
-    // Windows may overlap across threads (a submitter pre-materializing
-    // launch N+1 while the engine thread resolves launch N), but must not
-    // nest on one thread for the same runtime — that would count the same
-    // real time twice.  The marker is thread-local, so cross-thread overlap
-    // never trips it; the old per-runtime flag would have.
-    PP_ASSERT_MSG(prev_ != &rt_, "overlapping resolution wall-time windows");
-    activeWindow() = &rt_;
+      : rt_(rt), t0_(std::chrono::steady_clock::now()) {
+    // Nested windows would count the same real time twice.
+    PP_ASSERT_MSG(!rt_.resolutionWindowOpen_,
+                  "overlapping resolution wall-time windows");
+    rt_.resolutionWindowOpen_ = true;
   }
   ~ResolutionTimer() {
-    activeWindow() = prev_;
-    const double secs = wallSeconds(t0_);
-    std::lock_guard<std::mutex> lock(rt_.statsMutex_);
-    rt_.stats_.resolutionWallSeconds += secs;
+    rt_.resolutionWindowOpen_ = false;
+    rt_.stats_.resolutionWallSeconds += wallSeconds(t0_);
   }
 
   ResolutionTimer(const ResolutionTimer&) = delete;
   ResolutionTimer& operator=(const ResolutionTimer&) = delete;
 
-  /// True when the calling thread has an open window for `rt`.
-  static bool openOnThisThread(const Runtime& rt) {
-    return activeWindow() == &rt;
-  }
-
  private:
-  static const Runtime*& activeWindow() {
-    thread_local const Runtime* window = nullptr;
-    return window;
-  }
-
   Runtime& rt_;
-  const Runtime* prev_ = nullptr;
   std::chrono::steady_clock::time_point t0_;
-};
-
-/// Pipeline machinery: the bounded submission queue, the epoch clock, the
-/// engine thread, and the failure latch (first commit-side exception; held
-/// until a wait()/drain() rethrows it).
-struct Runtime::Pipeline {
-  explicit Pipeline(int depth)
-      : queue(static_cast<std::size_t>(depth)) {}
-
-  support::BoundedQueue<PendingLaunch> queue;
-  support::EpochClock epochs;
-  std::thread engine;
-  std::mutex errorMutex;
-  std::exception_ptr error;
-  std::atomic<bool> failed{false};
 };
 
 Runtime::Runtime(RuntimeConfig config, analysis::ApplicationModel model,
@@ -139,10 +117,11 @@ Runtime::Runtime(RuntimeConfig config, analysis::ApplicationModel model,
   };
   require(config_.numGpus >= 1, "numGpus", config_.numGpus, ">= 1");
   require(config_.numTenants >= 1, "numTenants", config_.numTenants, ">= 1");
-  require(config_.pipelineDepth >= 0, "pipelineDepth", config_.pipelineDepth,
-          ">= 0");
-  require(config_.maxInFlightPerTenant >= 0, "maxInFlightPerTenant",
-          config_.maxInFlightPerTenant, ">= 0");
+  // Compatibility shims for the deleted worker-pool and pipelined engines.
+  require(config_.resolutionThreads == 0, "resolutionThreads",
+          config_.resolutionThreads, "0");
+  require(config_.pipelineDepth == 0, "pipelineDepth", config_.pipelineDepth,
+          "0");
   // FM-memoization telemetry baseline: taken before any enumerator is built
   // so this runtime's construction-time projections count toward its sample.
   const pset::FmMemoCounters fmBase = pset::fmMemoCounters();
@@ -161,22 +140,14 @@ Runtime::Runtime(RuntimeConfig config, analysis::ApplicationModel model,
             return partitionFor(m, g, gpu);
           });
   }
-  if (config_.resolutionThreads > 0)
-    pool_ = std::make_unique<support::ThreadPool>(config_.resolutionThreads);
   machine_->setTracer(config_.tracer);
-  if (pool_) pool_->setTracer(config_.tracer);
 
   // Per-kernel partitioning (Section 7) and enumerator generation
-  // (Section 6) are independent across kernels; with a pool they build
-  // concurrently into pre-sized slots and the name map is populated
-  // afterwards in model order.
-  const i64 numKernels = static_cast<i64>(model_.kernels.size());
-  std::vector<KernelEntry> entries(static_cast<std::size_t>(numKernels));
-  auto buildEntry = [&](i64 i) {
-    const KernelModel& km = model_.kernels[static_cast<std::size_t>(i)];
+  // (Section 6), in model order.
+  for (const KernelModel& km : model_.kernels) {
     ir::KernelPtr k = kernels.find(km.kernel);
     PP_ASSERT_MSG(k != nullptr, "model references a kernel missing from the module");
-    KernelEntry& ke = entries[static_cast<std::size_t>(i)];
+    KernelEntry ke;
     ke.model = &km;
     ke.partitioned = ir::partitionKernel(*k);
     ke.partitioning = Partitioning::even(config_.numGpus);
@@ -205,31 +176,12 @@ Runtime::Runtime(RuntimeConfig config, analysis::ApplicationModel model,
                     e.argIndex()) != ke.mayReadArgs.end())
         ke.enumIsMayRead[ei] = 1;
     }
-  };
-  forEachTask(numKernels, buildEntry);
-  for (std::size_t i = 0; i < entries.size(); ++i)
-    kernels_.emplace(model_.kernels[i].kernel, std::move(entries[i]));
-
-  // Tenancy + pipelined engine.
+    kernels_.emplace(km.kernel, std::move(ke));
+  }
   tenants_.resize(static_cast<std::size_t>(config_.numTenants));
-  if (config_.tracer != nullptr &&
-      (config_.numTenants > 1 || config_.pipelineDepth > 0))
-    for (int t = 0; t < config_.numTenants; ++t)
-      config_.tracer->nameTenantTrack(t, "tenant " + std::to_string(t));
-  if (config_.pipelineDepth > 0) {
-    pipeline_ = std::make_unique<Pipeline>(config_.pipelineDepth);
-    pipeline_->engine = std::thread([this] { pipelineLoop(); });
-  }
 }
 
-Runtime::~Runtime() {
-  if (pipeline_ != nullptr) {
-    // Stop accepting work and let the engine drain what was submitted; a
-    // pending failure is dropped here (destruction is not a place to throw).
-    pipeline_->queue.close();
-    if (pipeline_->engine.joinable()) pipeline_->engine.join();
-  }
-}
+Runtime::~Runtime() = default;
 
 const Runtime::KernelEntry& Runtime::entry(const std::string& name) const {
   auto it = kernels_.find(name);
@@ -241,23 +193,17 @@ Runtime::KernelEntry& Runtime::entry(const std::string& name) {
   return const_cast<KernelEntry&>(std::as_const(*this).entry(name));
 }
 
-std::shared_ptr<const Runtime::LaunchPlan> Runtime::findPrebuilt(
-    const codegen::EnumerationKey& key) const {
-  if (activePending_ == nullptr) return nullptr;
-  for (const auto& [k, plan] : activePending_->prebuilt)
-    if (k == key) return plan;
-  return nullptr;
-}
-
 const ir::Kernel& Runtime::partitionedKernel(const std::string& name) const {
   return *entry(name).partitioned;
 }
 
 VirtualBuffer* Runtime::malloc(i64 bytes, TenantId tenant) {
-  PP_ASSERT(bytes >= 0);
-  PP_ASSERT_MSG(tenant >= 0 && tenant < config_.numTenants,
-                "malloc for unknown tenant");
-  drain();  // machine allocations keep program order vs in-flight launches
+  if (bytes < 0)
+    throw Error("Runtime::malloc: bytes must be >= 0, got " +
+                std::to_string(bytes));
+  if (tenant < 0 || tenant >= config_.numTenants)
+    throw Error("Runtime::malloc: unknown tenant " + std::to_string(tenant) +
+                " (numTenants " + std::to_string(config_.numTenants) + ")");
   std::vector<sim::DevBuffer> instances;
   instances.reserve(static_cast<std::size_t>(config_.numGpus));
   for (int d = 0; d < config_.numGpus; ++d)
@@ -277,7 +223,6 @@ VirtualBuffer* Runtime::malloc(i64 bytes, TenantId tenant) {
 
 void Runtime::free(VirtualBuffer* buf) {
   PP_ASSERT_MSG(buf != nullptr, "free of null virtual buffer");
-  drain();  // in-flight launches may still reference the buffer
   for (auto it = buffers_.begin(); it != buffers_.end(); ++it) {
     if (it->get() == buf) {
       // Recorded launch signatures hold buffer identities; dropping the
@@ -324,11 +269,15 @@ void Runtime::free(VirtualBuffer* buf) {
 }
 
 void Runtime::memcpy(void* dst, const void* src, i64 bytes, MemcpyKind kind) {
-  PP_ASSERT(bytes >= 0);
-  // Memcpy reads/writes tracker state and the machine; pipelined launches
-  // ahead of it must land first so every machine operation keeps program
-  // order (that order is what makes depth-0 and depth-N byte-identical).
-  drain();
+  if (bytes < 0)
+    throw Error("Runtime::memcpy: bytes must be >= 0, got " +
+                std::to_string(bytes));
+  auto requireFits = [bytes](const VirtualBuffer* vb) {
+    if (bytes > vb->bytes())
+      throw Error("Runtime::memcpy: " + std::to_string(bytes) +
+                  " bytes exceed the " + std::to_string(vb->bytes()) +
+                  "-byte buffer");
+  };
   trace::Span span(config_.tracer, "runtime", "memcpy", {}, {{"bytes", bytes}});
   switch (kind) {
     case MemcpyKind::HostToHost:
@@ -342,7 +291,7 @@ void Runtime::memcpy(void* dst, const void* src, i64 bytes, MemcpyKind kind) {
       // mismatch with the kernels' read patterns is corrected by the
       // dependency resolution before the next launch.
       auto* vb = static_cast<VirtualBuffer*>(dst);
-      PP_ASSERT(bytes <= vb->bytes_);
+      requireFits(vb);
       // Kernels still writing this buffer must drain before the scatter
       // overwrites the device instances; the post-copy barrier alone would
       // let the copies race with in-flight kernels in the timing model.
@@ -396,7 +345,7 @@ void Runtime::memcpy(void* dst, const void* src, i64 bytes, MemcpyKind kind) {
       // n:1 movement: gather each segment from the GPU the tracker records
       // as owning its most recent copy (Section 8.2).
       auto* vb = static_cast<VirtualBuffer*>(const_cast<void*>(src));
-      PP_ASSERT(bytes <= vb->bytes_);
+      requireFits(vb);
       machine_->synchronizeAll();  // kernels producing the data must finish
       vb->tracker_.query(0, bytes, [&](i64 b, i64 e, Owner owner) {
         if (owner < 0) return;  // never written: leave host bytes untouched
@@ -418,10 +367,7 @@ void Runtime::memcpy(void* dst, const void* src, i64 bytes, MemcpyKind kind) {
   }
 }
 
-void Runtime::deviceSynchronize() {
-  drain();
-  machine_->synchronizeAll();
-}
+void Runtime::deviceSynchronize() { machine_->synchronizeAll(); }
 
 double Runtime::elapsedSeconds() const { return machine_->completionTime(); }
 
@@ -471,10 +417,6 @@ std::unique_ptr<TransferPlan> Runtime::makeTransferPlan() const {
 void Runtime::issueTransferPlan(TransferPlan& plan) {
   trace::Span span(config_.tracer, "runtime", "schedule-transfers", {},
                    {{"decisions", static_cast<i64>(plan.recordCount())}});
-  // Pipelined commits attribute the plan's copies to the launch that issues
-  // it; the serial paper path stays untagged (classic trace output).
-  if (activePending_ != nullptr && activePending_->epoch >= 0)
-    plan.setIssueTag(activePending_->epoch, activePending_->tenant);
   const TransferPlanStats& ps = plan.issue(*machine_, config_.tracer);
   stats_.peerCopies += ps.issued;
   stats_.transfersMerged += ps.merged;
@@ -482,7 +424,7 @@ void Runtime::issueTransferPlan(TransferPlan& plan) {
   stats_.bytesSavedByDedup += ps.bytesSaved;
 }
 
-void Runtime::issuePrefetches(const PendingLaunch& pl, std::size_t step,
+void Runtime::issuePrefetches(const PreparedLaunch& pl, std::size_t step,
                               std::vector<double> kernelDone) {
   const std::vector<FlowEdge>& edges =
       planners_[static_cast<std::size_t>(pl.tenant)]->edgesFor(step);
@@ -498,8 +440,6 @@ void Runtime::issuePrefetches(const PendingLaunch& pl, std::size_t step,
   TransferPlan plan(opts);
   plan.markPrefetch();
   plan.setSrcFloors(std::move(kernelDone));
-  if (activePending_ != nullptr && activePending_->epoch >= 0)
-    plan.setIssueTag(activePending_->epoch, activePending_->tenant);
 
   // Clip every planned range against the live tracker: only sub-segments
   // whose current owner is the predicted source — and that the destination
@@ -568,7 +508,6 @@ void Runtime::sampleCacheCounters() {
       specMisses += c.misses;
       specEvictions += c.evictions;
     }
-  std::lock_guard<std::mutex> lock(statsMutex_);
   stats_.fmMemoHits = fm.hits - fmBaseHits_;
   stats_.fmMemoMisses = fm.misses - fmBaseMisses_;
   stats_.fmMemoEvictions = fm.evictions - fmBaseEvictions_;
@@ -594,11 +533,8 @@ std::shared_ptr<const Runtime::InspectedFootprints> Runtime::inspectFootprints(
   trace::Span span(config_.tracer, "runtime", "inspect:", ke.model->kernel);
 
   // Cache probe.  The geometry/scalars/buffer-identity/weights tuple is the
-  // key; the content versions decide freshness.  Content versions move only
-  // on Tracker::update() — performed in the same sequence at every
-  // resolutionThreads value — so hit/miss/invalidation counts are
-  // knob-invariant.  Only
-  // *read* arguments enter the freshness vector: a write-only output cannot
+  // key; the content versions decide freshness (they move only on
+  // Tracker::update()).  Only *read* arguments enter the freshness vector: a write-only output cannot
   // influence the walk, and skipping its version is what lets the repeat
   // launch of an iterative kernel hit the cache despite writing its output.
   std::vector<const VirtualBuffer*> bufs;
@@ -759,56 +695,24 @@ void Runtime::gatherRmwMayArgs(KernelEntry& ke, std::span<const LaunchArg> args,
 // after them (Fig. 4, Section 8.3).  Per (GPU partition, array) pair that is
 // three kinds of work: pure polyhedral enumeration, tracker queries/updates,
 // and machine-model bookkeeping (transfers + modeled host cost).  Each pass
-// runs them as three phases:
+// runs them as three phases, inline on the launching thread (the paper's
+// serial resolution):
 //
 //   1. acquirePlans      — the (gpu, enumerator) materializations the pass
-//                          needs (Enumerator::enumerate is const and touches
-//                          no shared state); the plan cache itself is only
-//                          mutated on this thread, with its FIFO
+//                          needs, after the plan-cache commit with its FIFO
 //                          hit/miss/eviction accounting in GPU order.  The
 //                          result is the pass's PassItems, one per (gpu,
 //                          consumed enumerator), in canonical order.
-//   2. sharded trackers  — one task per destination VirtualBuffer executes
-//                          that buffer's items in the canonical order.
-//                          Trackers of different buffers are independent,
-//                          so every tracker sees the same operation
-//                          sequence however the tasks are scheduled.
-//   3. ordered commit    — transfer decisions and modeled costs collected by
-//                          the tasks are replayed into sim::Machine in the
-//                          canonical order, so engine reservations,
-//                          floating-point cost accumulation, MachineStats,
-//                          and RuntimeStats do not depend on the schedule.
+//   2. tracker work      — each item's tracker queries (reads) or updates
+//                          (writes), in canonical order, recording the
+//                          transfer decisions.
+//   3. ordered commit    — the transfer decisions and modeled costs are
+//                          replayed into sim::Machine in the canonical
+//                          order.
 //
 // Inspected may-reads run phases 2 and 3 as a second read pass, with items
-// built from the footprints instead of phase 1.  RuntimeConfig::
-// resolutionThreads only decides where phases 1 and 2 run: inline on this
-// thread at 0 (the paper's serial resolution), on the pool otherwise.
+// built from the footprints instead of phase 1.
 // ---------------------------------------------------------------------------
-
-void Runtime::forEachTask(i64 n, const std::function<void(i64)>& body) {
-  if (pool_ != nullptr) {
-    pool_->parallelFor(n, body);
-    return;
-  }
-  for (i64 i = 0; i < n; ++i) body(i);
-}
-
-void Runtime::runResolutionTasks(const char* label, i64 n,
-                                 const std::function<void(i64)>& body) {
-  if (n <= 0) return;
-  // parallelWallSeconds is a sub-window of resolutionWallSeconds (the
-  // fraction of resolution wall time spent inside pool fan-outs), so a
-  // parallel window outside an open resolution window would make the subset
-  // accounting meaningless.
-  PP_ASSERT_MSG(ResolutionTimer::openOnThisThread(*this),
-                "resolution tasks outside a resolution wall-time window");
-  trace::Span span(config_.tracer, "runtime", label, {}, {{"tasks", n}});
-  auto t0 = std::chrono::steady_clock::now();
-  forEachTask(n, body);
-  if (pool_ == nullptr) return;  // inline: no pool tasks, no parallel time
-  stats_.resolutionTasks += n;
-  stats_.parallelWallSeconds += wallSeconds(t0);
-}
 
 std::vector<Runtime::PassItem> Runtime::passItems(
     const KernelEntry& ke, std::span<const LaunchArg> args,
@@ -825,20 +729,6 @@ std::vector<Runtime::PassItem> Runtime::passItems(
   return items;
 }
 
-support::SmallVec<VirtualBuffer*, 8> Runtime::assignShards(
-    std::span<PassItem> items) {
-  // Kernels take a handful of array arguments, so a linear search is all
-  // the deduplication needs.
-  support::SmallVec<VirtualBuffer*, 8> buffers;
-  for (PassItem& it : items) {
-    PP_ASSERT(it.buffer != nullptr);
-    auto pos = std::find(buffers.begin(), buffers.end(), it.buffer);
-    it.shard = static_cast<std::size_t>(pos - buffers.begin());
-    if (pos == buffers.end()) buffers.push_back(it.buffer);
-  }
-  return buffers;
-}
-
 std::vector<Runtime::PlanAcquisition> Runtime::acquirePlans(
     KernelEntry& ke, const LaunchConfig& cfg, std::span<const i64> scalars,
     const ResolutionPass& pass) {
@@ -853,10 +743,6 @@ std::vector<Runtime::PlanAcquisition> Runtime::acquirePlans(
                                    nullptr, nullptr, false});
   }
   const std::size_t numEnums = ke.enumerators.size();
-  // Plans the submitting thread pre-materialized (pipelined mode) are taken
-  // as-is; only the remainder is enumerated here.
-  const bool havePrebuilt =
-      activePending_ != nullptr && !activePending_->prebuilt.empty();
 
   if (!config_.enableEnumerationCache) {
     // Cache off: the paper's runtime re-enumerates, every launch, exactly the
@@ -865,27 +751,15 @@ std::vector<Runtime::PlanAcquisition> Runtime::acquirePlans(
     // ranges are exactly what a live enumerate() call emits.
     if (passRanges_.size() < acqs.size() * numEnums)
       passRanges_.resize(acqs.size() * numEnums);
-    support::SmallVec<std::size_t, 16> need;   // acquisitions to enumerate
+    for (std::size_t ai = 0; ai < acqs.size(); ++ai)
+      acqs[ai].ranges = &passRanges_[ai * numEnums];
     support::SmallVec<std::size_t, 16> enums;  // enumerators the pass consumes
-    for (std::size_t ai = 0; ai < acqs.size(); ++ai) {
-      PlanAcquisition& a = acqs[ai];
-      if (havePrebuilt)
-        a.pin =
-            findPrebuilt(codegen::EnumerationKey::of(a.tuple, cfg, scalars));
-      if (a.pin != nullptr) {
-        a.ranges = a.pin->data();
-        continue;
-      }
-      a.ranges = &passRanges_[ai * numEnums];
-      need.push_back(ai);
-    }
     for (std::size_t ei = 0; ei < numEnums; ++ei)
       if (pass.consumes(ke.enumerators[ei], ei)) enums.push_back(ei);
-    runResolutionTasks(
-        "phase1:materialize", static_cast<i64>(need.size() * enums.size()),
-        [&](i64 t) {
-          const std::size_t task = static_cast<std::size_t>(t);
-          const std::size_t ai = need[task / enums.size()];
+    runPhase(
+        config_.tracer, "phase1:materialize", acqs.size() * enums.size(),
+        [&](std::size_t task) {
+          const std::size_t ai = task / enums.size();
           const std::size_t ei = enums[task % enums.size()];
           codegen::MaterializedRanges& mr = passRanges_[ai * numEnums + ei];
           mr.ranges.clear();
@@ -900,9 +774,7 @@ std::vector<Runtime::PlanAcquisition> Runtime::acquirePlans(
   // Cache on: the cache commit runs first, in canonical GPU order with the
   // cache's counter and FIFO semantics (including eviction thrash when the
   // capacity is smaller than the partitions of one launch).  A miss inserts
-  // the plan the submitting thread pre-materialized, or a whole plan that
-  // the tasks below fill in.  The cache itself is only touched on this
-  // thread (single-producer, no mutex).
+  // a whole plan that the materialization below fills in.
   struct Miss {
     std::size_t acq;
     codegen::EnumerationKey key;
@@ -937,13 +809,8 @@ std::vector<Runtime::PlanAcquisition> Runtime::acquirePlans(
       trace::counter(config_.tracer, "cache", "plan-cache-evictions",
                      stats_.enumCacheEvictions);
     }
-    std::shared_ptr<const LaunchPlan> plan =
-        havePrebuilt ? findPrebuilt(key) : nullptr;
-    if (plan == nullptr) {
-      auto fresh = std::make_shared<LaunchPlan>(numEnums);
-      toBuild.push_back(Miss{ai, key, fresh});
-      plan = std::move(fresh);
-    }
+    auto plan = std::make_shared<LaunchPlan>(numEnums);
+    toBuild.push_back(Miss{ai, key, plan});
     a.pin = plan;
     a.ranges = plan->data();
     auto [pos, inserted] =
@@ -952,11 +819,11 @@ std::vector<Runtime::PlanAcquisition> Runtime::acquirePlans(
     ke.planCacheOrder.push_back(pos->first);
   }
   try {
-    runResolutionTasks(
-        "phase1:materialize", static_cast<i64>(toBuild.size() * numEnums),
-        [&](i64 t) {
-          const Miss& m = toBuild[static_cast<std::size_t>(t) / numEnums];
-          const std::size_t ei = static_cast<std::size_t>(t) % numEnums;
+    runPhase(
+        config_.tracer, "phase1:materialize", toBuild.size() * numEnums,
+        [&](std::size_t t) {
+          const Miss& m = toBuild[t / numEnums];
+          const std::size_t ei = t % numEnums;
           (*m.plan)[ei] =
               ke.enumerators[ei].materialize(acqs[m.acq].tuple, cfg, scalars);
         });
@@ -1006,16 +873,13 @@ void Runtime::synchronizeReads(KernelEntry& ke, const LaunchConfig& cfg,
       items.push_back(PassItem{gpu, args[ke.mayReadArgs[si]].buffer, &ranges,
                                static_cast<i64>(ranges.size()), false});
     }
-  resolveReads(std::move(items), "resolve-may-reads",
-               /*countLogicalRows=*/false);
+  resolveReads(items, "resolve-may-reads", /*countLogicalRows=*/false);
 }
 
-void Runtime::resolveReads(std::vector<PassItem> items, const char* costLabel,
-                           bool countLogicalRows) {
-  const support::SmallVec<VirtualBuffer*, 8> buffers = assignShards(items);
-
-  // Phase 2 output per item: the transfer decisions, stored contiguously in
-  // the buffer's shard list, and the query counts.
+void Runtime::resolveReads(std::span<const PassItem> items,
+                           const char* costLabel, bool countLogicalRows) {
+  // Phase 2 output per item: its transfer decisions, a [first, end) slice of
+  // `transfers`, and the query counts.
   struct Transfer {
     i64 begin = 0;
     i64 end = 0;
@@ -1028,60 +892,52 @@ void Runtime::resolveReads(std::vector<PassItem> items, const char* costLabel,
     std::size_t endTransfer = 0;
   };
   std::vector<ItemResolution> results(items.size());
-  std::vector<std::vector<Transfer>> transfers(buffers.size());
+  std::vector<Transfer> transfers;
+  std::vector<std::pair<i64, i64>> sharerScratch;
 
-  runResolutionTasks("phase2:tracker-tasks", static_cast<i64>(buffers.size()),
-                     [&](i64 s) {
-    const std::size_t shard = static_cast<std::size_t>(s);
-    std::vector<Transfer>& out = transfers[shard];
-    std::vector<std::pair<i64, i64>> sharerScratch;  // task-local
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      const PassItem& it = items[i];
-      if (it.shard != shard) continue;
-      ItemResolution& r = results[i];
-      r.firstTransfer = out.size();
-      for (const auto& [elemB, elemE] : *it.ranges) {
-        it.buffer->tracker_.querySharers(
-            elemB * kElemBytes, elemE * kElemBytes,
-            [&](i64 b, i64 en, Owner owner, u64 sharers) {
-              ++r.segments;
-              // Up to date here, or never written.
-              if (owner == it.gpu || owner < 0) return;
-              // Only trackSharedCopies (reactive replicas) and the dataflow
-              // planner (prefetched ones) record sharers off the owner.
-              if (hasReplica(sharers, it.gpu)) {
-                ++r.sharedHits;  // replica already valid here
-                return;
-              }
-              if (config_.enableTransfers) {
-                out.push_back(Transfer{b, en, owner});
-                if (config_.trackSharedCopies)
-                  sharerScratch.emplace_back(b, en);
-              }
-            });
-        // Record the new replicas outside the query traversal (addSharer
-        // mutates the tracker).
-        for (const auto& [b, en] : sharerScratch)
-          it.buffer->tracker_.addSharer(b, en, it.gpu);
-        sharerScratch.clear();
-      }
-      r.endTransfer = out.size();
+  runPhase(config_.tracer, "phase2:tracker-tasks", items.size(),
+           [&](std::size_t i) {
+    const PassItem& it = items[i];
+    ItemResolution& r = results[i];
+    r.firstTransfer = transfers.size();
+    for (const auto& [elemB, elemE] : *it.ranges) {
+      it.buffer->tracker_.querySharers(
+          elemB * kElemBytes, elemE * kElemBytes,
+          [&](i64 b, i64 en, Owner owner, u64 sharers) {
+            ++r.segments;
+            // Up to date here, or never written.
+            if (owner == it.gpu || owner < 0) return;
+            // Only trackSharedCopies (reactive replicas) and the dataflow
+            // planner (prefetched ones) record sharers off the owner.
+            if (hasReplica(sharers, it.gpu)) {
+              ++r.sharedHits;  // replica already valid here
+              return;
+            }
+            if (config_.enableTransfers) {
+              transfers.push_back(Transfer{b, en, owner});
+              if (config_.trackSharedCopies) sharerScratch.emplace_back(b, en);
+            }
+          });
+      // Record the new replicas outside the query traversal (addSharer
+      // mutates the tracker).
+      for (const auto& [b, en] : sharerScratch)
+        it.buffer->tracker_.addSharer(b, en, it.gpu);
+      sharerScratch.clear();
     }
+    r.endTransfer = transfers.size();
   });
 
   // Ordered commit: items in canonical order, each with its transfers in
   // decision order, then its modeled cost.  With scheduling on, the same
-  // order instead populates the TransferPlan, so the schedule — and
-  // everything downstream of it — is schedule-independent too.
+  // order instead populates the TransferPlan.
   trace::Span phase3(config_.tracer, "runtime", "phase3:commit");
   std::unique_ptr<TransferPlan> xferPlan = makeTransferPlan();
   for (std::size_t i = 0; i < items.size(); ++i) {
     const PassItem& it = items[i];
     VirtualBuffer* vb = it.buffer;
     const ItemResolution& r = results[i];
-    const std::vector<Transfer>& shardTransfers = transfers[it.shard];
     for (std::size_t ti = r.firstTransfer; ti < r.endTransfer; ++ti) {
-      const Transfer& t = shardTransfers[ti];
+      const Transfer& t = transfers[ti];
       if (xferPlan != nullptr) {
         xferPlan->add(vb, it.gpu, static_cast<int>(t.owner), t.begin, t.end);
         continue;
@@ -1126,17 +982,14 @@ void Runtime::updateTrackers(KernelEntry& ke, const LaunchConfig& cfg,
   trace::Span span(config_.tracer, "runtime", "update-trackers");
   const ResolutionPass pass{true, nullptr};
   std::vector<PlanAcquisition> acqs = acquirePlans(ke, cfg, scalars, pass);
-  std::vector<PassItem> items = passItems(ke, args, acqs, pass);
-  const support::SmallVec<VirtualBuffer*, 8> buffers = assignShards(items);
+  const std::vector<PassItem> items = passItems(ke, args, acqs, pass);
 
-  runResolutionTasks("phase2:tracker-tasks", static_cast<i64>(buffers.size()),
-                     [&](i64 s) {
-    for (const PassItem& it : items) {
-      if (it.shard != static_cast<std::size_t>(s)) continue;
-      for (const auto& [elemB, elemE] : *it.ranges)
-        it.buffer->tracker_.update(elemB * kElemBytes, elemE * kElemBytes,
-                                   it.gpu);
-    }
+  runPhase(config_.tracer, "phase2:tracker-tasks", items.size(),
+           [&](std::size_t i) {
+    const PassItem& it = items[i];
+    for (const auto& [elemB, elemE] : *it.ranges)
+      it.buffer->tracker_.update(elemB * kElemBytes, elemE * kElemBytes,
+                                 it.gpu);
   });
 
   trace::Span phase3(config_.tracer, "runtime", "phase3:commit");
@@ -1154,19 +1007,19 @@ void Runtime::updateTrackers(KernelEntry& ke, const LaunchConfig& cfg,
   }
 }
 
-Runtime::PendingLaunch Runtime::prepareLaunch(const std::string& kernelName,
-                                              const Dim3& grid,
-                                              const Dim3& block,
-                                              std::span<const LaunchArg> args,
-                                              TenantId tenant) {
+Runtime::PreparedLaunch Runtime::prepareLaunch(const std::string& kernelName,
+                                               const Dim3& grid,
+                                               const Dim3& block,
+                                               std::span<const LaunchArg> args,
+                                               TenantId tenant) {
   if (tenant < 0 || tenant >= config_.numTenants)
     throw Error("launch of kernel '" + kernelName + "' for unknown tenant " +
                 std::to_string(tenant));
   KernelEntry& ke = entry(kernelName);
   const KernelModel& model = *ke.model;
   // The same checks and messages as ir::checkArguments, plus tenancy: a
-  // launch may only reference buffers of the tenant that submitted it.
-  // Nothing is enqueued or recorded before they pass.
+  // launch may only reference buffers of the tenant that issued it.
+  // Nothing is recorded before they pass.
   const std::string where = "kernel '" + kernelName + "'";
   if (args.size() != model.params.size())
     throw Error(where + " expects " + std::to_string(model.params.size()) +
@@ -1200,11 +1053,11 @@ Runtime::PendingLaunch Runtime::prepareLaunch(const std::string& kernelName,
                   ir::axisName(static_cast<ir::Axis>(a)) + " == 1");
   }
 
-  PendingLaunch pl;
+  PreparedLaunch pl;
   pl.tenant = tenant;
   pl.ke = &ke;
   pl.cfg = LaunchConfig{grid, block};
-  pl.args.assign(args.begin(), args.end());
+  pl.args = args;
 
   // Scalars for the enumerators: i64 scalar args in declaration order.
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -1215,71 +1068,14 @@ Runtime::PendingLaunch Runtime::prepareLaunch(const std::string& kernelName,
   return pl;
 }
 
-void Runtime::prebuildPlans(PendingLaunch& pl) {
-  // Pure pre-materialization on the submitting thread: this is the
-  // resolve-of-launch-N+1 half of the pipeline overlap.  Nothing here
-  // touches trackers, the machine, the real plan cache, or stats (beyond
-  // the wall-clock window) — only the *predicted* cache state advances,
-  // under submitMutex_, in epoch order, replaying the FIFO logic the
-  // commits will perform.  Both commit phases (read sync, tracker update)
-  // resolve the same keys, so the prediction simulates two passes.
-  if (!config_.enableDependencyResolution) return;
-  KernelEntry& ke = *pl.ke;
-  ResolutionTimer timer(*this);
-  trace::Span span(config_.tracer, "runtime", "pipeline:prebuild:",
-                   ke.model->kernel);
-  const LaunchConfig& cfg = pl.cfg;
-  std::span<const i64> scalars(pl.scalars);
-
-  std::vector<PartitionTuple> tuples;
-  for (int gpu = 0; gpu < config_.numGpus; ++gpu) {
-    GridPartition gp = partitionFor(*ke.model, cfg.grid, gpu);
-    if (gp.blockCount() == 0) continue;
-    tuples.push_back(PartitionTuple::fromBlocks(gp, cfg.block));
-  }
-
-  auto addPlan = [&](const codegen::EnumerationKey& key,
-                     const PartitionTuple& tuple) {
-    for (const auto& [k, plan] : pl.prebuilt)
-      if (k == key) return;
-    auto plan = std::make_shared<LaunchPlan>();
-    plan->reserve(ke.enumerators.size());
-    for (const Enumerator& e : ke.enumerators)
-      plan->push_back(e.materialize(tuple, cfg, scalars));
-    pl.prebuilt.emplace_back(key, std::move(plan));
-  };
-
-  if (!config_.enableEnumerationCache) {
-    for (const PartitionTuple& tuple : tuples)
-      addPlan(codegen::EnumerationKey::of(tuple, cfg, scalars), tuple);
-    return;
-  }
-
-  const i64 cap = config_.enumerationCachePlansPerKernel;
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const PartitionTuple& tuple : tuples) {
-      codegen::EnumerationKey key =
-          codegen::EnumerationKey::of(tuple, cfg, scalars);
-      if (ke.predictedPresent.count(key) != 0) continue;  // predicted hit
-      addPlan(key, tuple);
-      if (cap > 0 && static_cast<i64>(ke.predictedPresent.size()) >= cap) {
-        ke.predictedPresent.erase(ke.predictedOrder.front());
-        ke.predictedOrder.pop_front();
-      }
-      ke.predictedPresent.insert(key);
-      ke.predictedOrder.push_back(key);
-    }
-  }
-}
-
-void Runtime::executeLaunch(PendingLaunch& pl) {
+void Runtime::executeLaunch(const PreparedLaunch& pl) {
   KernelEntry& ke = *pl.ke;
   const KernelModel& model = *ke.model;
   const std::string& kernelName = model.kernel;
   const LaunchConfig& cfg = pl.cfg;
   const Dim3& grid = cfg.grid;
   const Dim3& block = cfg.block;
-  std::span<const LaunchArg> args(pl.args);
+  std::span<const LaunchArg> args = pl.args;
   std::span<const i64> scalars(pl.scalars);
 
   trace::LaunchScope launchScope(config_.tracer, kernelName);
@@ -1496,189 +1292,31 @@ void Runtime::executeLaunch(PendingLaunch& pl) {
   ke.lastScalars.assign(scalars.begin(), scalars.end());
 }
 
-void Runtime::commitLaunch(PendingLaunch& pl) {
-  // activePending_ exposes the prebuilt plans to acquirePlans
-  // and the issue tag to issueTransferPlan for the duration of this commit;
-  // the guard clears it even when executeLaunch throws.
-  struct ActiveGuard {
-    Runtime& rt;
-    ~ActiveGuard() {
-      rt.activePending_ = nullptr;
-      // Device-ordering mode is scoped to one planned launch; make sure a
-      // throwing executeLaunch cannot leak it into the next commit.
-      rt.machine_->setDeviceOrdering(false);
-    }
-  } guard{*this};
-  activePending_ = &pl;
-  machine_->setLaunchTag(pl.tenant);
-  const RuntimeStats before = statsSnapshot();
-  executeLaunch(pl);
-  const RuntimeStats after = statsSnapshot();
-  std::lock_guard<std::mutex> lock(tenantMutex_);
-  TenantState& ts = tenants_[static_cast<std::size_t>(pl.tenant)];
-  addStatsDiff(ts.stats.resolved, before, after);
-  ++ts.stats.completed;
-}
-
-std::optional<i64> Runtime::submitImpl(const std::string& kernelName,
-                                       const Dim3& grid, const Dim3& block,
-                                       std::span<const LaunchArg> args,
-                                       TenantId tenant, bool blocking) {
-  if (!pipelined()) {
-    // Serial paper path: validate, commit synchronously, retire the ticket
-    // before returning.  epoch stays -1, so the trace output (no tags) is
-    // the classic one.
-    PendingLaunch pl = prepareLaunch(kernelName, grid, block, args, tenant);
-    {
-      std::lock_guard<std::mutex> lock(tenantMutex_);
-      ++tenants_[static_cast<std::size_t>(tenant)].stats.submitted;
-    }
-    commitLaunch(pl);
-    return serialNextTicket_++;
-  }
-
-  rethrowPipelineError();
-  PendingLaunch pl = prepareLaunch(kernelName, grid, block, args, tenant);
-
-  // Admission control: bound this tenant's outstanding launches before the
-  // request may occupy pipeline capacity.
-  {
-    std::unique_lock<std::mutex> lock(tenantMutex_);
-    TenantState& ts = tenants_[static_cast<std::size_t>(tenant)];
-    const i64 cap = config_.maxInFlightPerTenant;
-    if (cap > 0) {
-      if (!blocking && ts.inFlight >= cap) {
-        ++ts.stats.rejected;
-        trace::tenantInstant(config_.tracer, tenant, "runtime",
-                             "admission-reject", {{"in-flight", ts.inFlight}});
-        return std::nullopt;
-      }
-      admissionCv_.wait(lock, [&] { return ts.inFlight < cap; });
-    }
-    ++ts.inFlight;
-    ++ts.stats.submitted;
-    trace::tenantCounter(config_.tracer, tenant, "runtime", "in-flight",
-                         ts.inFlight);
-  }
-
-  // {prediction advance, epoch issue, queue push} is atomic under
-  // submitMutex_, so queue order == epoch order (the EpochClock asserts
-  // this) and the cache-FIFO prediction advances in epoch order.  push()
-  // blocking on a full queue is the pipeline-depth backpressure.
-  std::lock_guard<std::mutex> lock(submitMutex_);
-  prebuildPlans(pl);
-  const i64 epoch = pipeline_->epochs.issue();
-  pl.epoch = epoch;
-  trace::tenantInstant(config_.tracer, tenant, "runtime", "submit",
-                       {{"epoch", epoch}});
-  const bool accepted = pipeline_->queue.push(std::move(pl));
-  PP_ASSERT_MSG(accepted, "submit to a shut-down runtime");
-  return epoch;
-}
-
-i64 Runtime::submit(const std::string& kernelName, const Dim3& grid,
-                    const Dim3& block, std::span<const LaunchArg> args,
-                    TenantId tenant) {
-  std::optional<i64> ticket =
-      submitImpl(kernelName, grid, block, args, tenant, /*blocking=*/true);
-  PP_ASSERT(ticket.has_value());
-  return *ticket;
-}
-
-std::optional<i64> Runtime::trySubmit(const std::string& kernelName,
-                                      const Dim3& grid, const Dim3& block,
-                                      std::span<const LaunchArg> args,
-                                      TenantId tenant) {
-  return submitImpl(kernelName, grid, block, args, tenant, /*blocking=*/false);
-}
-
 void Runtime::launch(const std::string& kernelName, const Dim3& grid,
                      const Dim3& block, std::span<const LaunchArg> args,
                      TenantId tenant) {
-  wait(submit(kernelName, grid, block, args, tenant));
+  const PreparedLaunch pl = prepareLaunch(kernelName, grid, block, args, tenant);
+  TenantStats& ts = tenants_[static_cast<std::size_t>(tenant)];
+  ++ts.submitted;
+  // Device-ordering mode is scoped to one planned launch; a throwing
+  // executeLaunch must not leak it into the next one.
+  struct OrderingGuard {
+    sim::Machine& machine;
+    ~OrderingGuard() { machine.setDeviceOrdering(false); }
+  } guard{*machine_};
+  machine_->setLaunchTag(tenant);
+  const RuntimeStats before = stats_;
+  executeLaunch(pl);
+  addStatsDiff(ts.resolved, before, stats_);
+  ++ts.completed;
 }
 
-void Runtime::wait(i64 ticket) {
-  if (!pipelined()) return;  // serial tickets are retired at submit
-  pipeline_->epochs.waitFor(ticket);
-  rethrowPipelineError();
-}
-
-void Runtime::drain() {
-  if (!pipelined()) return;
-  pipeline_->epochs.waitIdle();
-  rethrowPipelineError();
-}
-
-bool Runtime::pipelineIdle() const {
-  return pipeline_ == nullptr || pipeline_->epochs.idle();
-}
-
-TenantStats Runtime::tenantStats(TenantId tenant) {
-  PP_ASSERT_MSG(tenant >= 0 && tenant < config_.numTenants,
-                "stats for unknown tenant");
-  drain();
-  std::lock_guard<std::mutex> lock(tenantMutex_);
-  return tenants_[static_cast<std::size_t>(tenant)].stats;
-}
-
-void Runtime::setCommitObserver(std::function<void(i64, TenantId)> fn) {
-  PP_ASSERT_MSG(pipelineIdle(),
-                "commit observer may only change while the pipeline is idle");
-  commitObserver_ = std::move(fn);
-}
-
-void Runtime::rethrowPipelineError() {
-  if (pipeline_ == nullptr ||
-      !pipeline_->failed.load(std::memory_order_acquire))
-    return;
-  std::lock_guard<std::mutex> lock(pipeline_->errorMutex);
-  if (pipeline_->error != nullptr) {
-    std::exception_ptr first = std::exchange(pipeline_->error, nullptr);
-    std::rethrow_exception(first);
-  }
-  // The original failure was already delivered to some caller; everything
-  // after it sees the pipeline as poisoned.
-  throw Error("launch pipeline poisoned by an earlier failure");
-}
-
-RuntimeStats Runtime::statsSnapshot() const {
-  std::lock_guard<std::mutex> lock(statsMutex_);
-  return stats_;
-}
-
-void Runtime::pipelineLoop() {
-  if (config_.tracer != nullptr)
-    config_.tracer->nameCurrentThread("pipeline engine");
-  while (std::optional<PendingLaunch> pl = pipeline_->queue.pop()) {
-    const i64 epoch = pl->epoch;
-    const TenantId tenant = pl->tenant;
-    if (commitObserver_) commitObserver_(epoch, tenant);
-    // A poisoned pipeline stops touching machine/tracker state, but epochs
-    // still retire and in-flight counts still drop so no waiter hangs.
-    if (!pipeline_->failed.load(std::memory_order_acquire)) {
-      try {
-        commitLaunch(*pl);
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(pipeline_->errorMutex);
-          pipeline_->error = std::current_exception();
-        }
-        pipeline_->failed.store(true, std::memory_order_release);
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(tenantMutex_);
-      TenantState& ts = tenants_[static_cast<std::size_t>(tenant)];
-      --ts.inFlight;
-      trace::tenantCounter(config_.tracer, tenant, "runtime", "in-flight",
-                           ts.inFlight);
-    }
-    admissionCv_.notify_all();
-    trace::tenantInstant(config_.tracer, tenant, "runtime", "commit",
-                         {{"epoch", epoch}});
-    pipeline_->epochs.commit(epoch);
-  }
+TenantStats Runtime::tenantStats(TenantId tenant) const {
+  if (tenant < 0 || tenant >= config_.numTenants)
+    throw Error("Runtime::tenantStats: unknown tenant " +
+                std::to_string(tenant) + " (numTenants " +
+                std::to_string(config_.numTenants) + ")");
+  return tenants_[static_cast<std::size_t>(tenant)];
 }
 
 }  // namespace polypart::rt

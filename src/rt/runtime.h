@@ -21,32 +21,24 @@
 //
 // Dependency resolution runs as one three-phase engine (see DESIGN.md
 // "Dependency-resolution engine"): plan materialization per (GPU,
-// enumerator) pair, tracker work sharded per destination buffer, and an
-// ordered commit of transfer decisions and modeled costs into the machine
-// model.  RuntimeConfig::resolutionThreads only sets how wide the first two
-// phases fan out (0 runs them inline), so results and modeled timing are
-// byte-identical at every width.
+// enumerator) pair, tracker work per (GPU, buffer) item, and an ordered
+// commit of transfer decisions and modeled costs into the machine model.
+// Every phase runs inline on the thread that calls launch(), which is the
+// paper's serial §8.3 resolution; launch() returns once the launch has
+// committed.
 //
-// RuntimeConfig::pipelineDepth adds an asynchronous pipelined launch engine
-// on top (see DESIGN.md "Pipelined launches & tenancy"): submit() prepares
-// and pre-materializes launch N+1 on the calling thread while a dedicated
-// engine thread commits launch N, with per-launch epochs keeping the commit
-// strictly in submission order so results stay byte-identical to the serial
-// path.  RuntimeConfig::numTenants shards the runtime into client contexts
-// multiplexed onto the one machine, with per-tenant stats and admission
-// control (maxInFlightPerTenant).
+// RuntimeConfig::numTenants shards the runtime into client contexts that
+// share the one machine: each tenant owns the buffers it allocates, a launch
+// may reference only its own tenant's buffers, and tenantStats() reports
+// each tenant's slice of the RuntimeStats counters (DESIGN.md "Tenancy").
 
 #include <chrono>
-#include <condition_variable>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "analysis/model.h"
@@ -55,10 +47,6 @@
 #include "rt/tracker.h"
 #include "sim/machine.h"
 #include "support/small_vec.h"
-
-namespace polypart::support {
-class ThreadPool;
-}
 
 namespace polypart::trace {
 class Tracer;
@@ -185,8 +173,8 @@ struct RuntimeConfig {
   /// reads through fresh replicas (when trackSharedCopies provides the
   /// sharer bookkeeping), and issues round-robin across (src, dst) links.
   /// Functional results, tracker state, and gather bytes are byte-identical
-  /// with scheduling on or off, at every resolutionThreads value;
-  /// bytesPeerToPeer can only shrink (tests/transfer_plan_test.cpp).
+  /// with scheduling on or off; bytesPeerToPeer can only shrink
+  /// (tests/transfer_plan_test.cpp).
   bool transferScheduling = false;
   /// Cross-launch dataflow planning (extension; see DESIGN.md "Cross-launch
   /// dataflow planning").  Off (default): the paper's reactive behaviour.
@@ -271,45 +259,30 @@ struct RuntimeConfig {
   double transferIssueCostPerRow = 35e-9;
   /// Fixed modeled host cost per (array, partition) resolution step.
   double resolutionCostPerArray = 2e-6;
-  /// Worker threads for the dependency-resolution engine (plan
-  /// materialization, per-buffer sharded tracker phases, ordered commit into
-  /// the machine model).  0 runs the phases inline on the launching thread,
-  /// which is the paper's serial §8.3 resolution; N > 0 fans the first two
-  /// out over an N-thread pool.  Results, modeled timing, and RuntimeStats
-  /// (minus the meta-counters, see deterministicStats()) are byte-identical
-  /// for every value of this knob.
+  /// Compatibility shim: must be 0 (the constructor throws Error otherwise).
+  /// Resolution always runs inline on the launching thread; the worker-pool
+  /// engine this selected is gone.  Deleted once the benchmark owner drops it
+  /// from perfbench/driver.cpp.
   int resolutionThreads = 0;
   /// Slowdown factor applied to kernels whose write patterns must be
   /// collected by instrumentation (paper Section 11 future work; dynamic
   /// collection "yields accurate results at the expense of significant
   /// runtime overhead").
   double instrumentationSlowdown = 2.0;
-  /// Asynchronous pipelined launch engine (see DESIGN.md "Pipelined launches
-  /// & tenancy").  0 (default): the paper's synchronous path — launch()
-  /// resolves, transfers, and executes before returning, bit-for-bit
-  /// today's behaviour.  N > 0: submit() enqueues launches onto a dedicated
-  /// engine thread and may run up to N launches ahead of the in-order
-  /// commit, pre-materializing their launch plans (the pure polyhedral
-  /// enumeration) on the submitting thread so resolution of launch N+1
-  /// overlaps execution of launch N.  Functional results, tracker state,
-  /// modeled timing, and RuntimeStats (minus the wall-clock/task
-  /// meta-counters) are byte-identical at every depth.
+  /// Compatibility shim: must be 0 (the constructor throws Error otherwise).
+  /// launch() always commits before it returns; the pipelined launch engine
+  /// this selected is gone.  Deleted once the benchmark owner drops it from
+  /// perfbench/driver.cpp.
   int pipelineDepth = 0;
   /// Client contexts sharded onto this runtime (>= 1).  Each tenant owns the
   /// buffers it allocates (malloc(bytes, tenant)); a launch may only
   /// reference its own tenant's buffers, and per-tenant counters accumulate
   /// into tenantStats().  1 (default): the classic single-client runtime.
   int numTenants = 1;
-  /// Admission control: maximum launches a tenant may have in flight
-  /// (submitted but not yet committed) before trySubmit() rejects and
-  /// submit() blocks.  0 (default) = unbounded.  Only meaningful with
-  /// pipelineDepth > 0 (the serial path commits within submit()).
-  i64 maxInFlightPerTenant = 0;
-  /// Launch-pipeline tracer (support/trace.h).  When set, the runtime, the
-  /// machine model, and the resolution thread pool record structured events
-  /// — launch/sync/update spans, plan-cache hit/miss/evict, per-transfer
-  /// src/dst/bytes, virtual-time engine spans — exportable as a Chrome
-  /// trace.  Must outlive the Runtime.  Null (the default) disables tracing;
+  /// Launch tracer (support/trace.h).  When set, the runtime and the machine
+  /// model record structured events — launch/sync/update spans, plan-cache
+  /// hit/miss/evict, per-transfer src/dst/bytes, virtual-time engine spans —
+  /// exportable as a Chrome trace.  Must outlive the Runtime.  Null (the default) disables tracing;
   /// results, modeled timing, RuntimeStats, and MachineStats are identical
   /// with tracing on or off (tests/trace_test.cpp).  Examples and benches
   /// wire this to the POLYPART_TRACE=<path> environment hook
@@ -359,20 +332,20 @@ struct LaunchArg {
 
 /// Every RuntimeStats counter, once, in declaration order:
 /// X(type, name, kind).  `kind` is Deterministic for the counters every
-/// determinism guarantee (resolution width, pipeline depth, enumerator tier,
-/// tracing) promises to keep byte-identical, and Meta for the engine and
-/// cache-telemetry meta-counters, which describe *how* the runtime executed,
-/// not what it computed:
-///   - resolutionTasks is 0 when the engine runs inline (resolutionThreads
-///     0), and the wall-clock fields are nondeterministic by nature
-///     (tests/parallel_resolution_test.cpp);
+/// determinism guarantee (enumerator tier, plan cache, tracing) promises to
+/// keep byte-identical, and Meta for the engine and cache-telemetry
+/// meta-counters, which describe *how* the runtime executed, not what it
+/// computed:
+///   - resolutionWallSeconds is real host time, nondeterministic by nature;
+///   - resolutionTasks and parallelWallSeconds are compatibility shims that
+///     are always 0 (nothing runs on a worker pool any more).  Both are
+///     deleted once the benchmark owner drops them from perfbench/driver.cpp;
 ///   - the FM-memoization counters are process-wide (pset's projection memo
 ///     is one table per process), diffed against a baseline taken at Runtime
 ///     construction, and the specialized-program counters sum over this
-///     runtime's enumerators.  Both are sampled at the end of every launch;
-///     parallel resolution can race two misses on one key, so they are
-///     monotone telemetry (tests/cache_counters_test.cpp asserts
-///     monotonicity and hit/miss consistency instead).
+///     runtime's enumerators.  Both are sampled at the end of every launch
+///     and are monotone telemetry (tests/cache_counters_test.cpp asserts
+///     monotonicity and hit/miss consistency).
 /// The struct members, deterministicStats(), the per-tenant stats diff and
 /// the tests' field-wise sums all expand this list.
 #define POLYPART_RUNTIME_STATS(X)                                            \
@@ -417,9 +390,9 @@ struct LaunchArg {
   X(i64, inspectorCacheInvalidations, Deterministic) /* stale footprints */   \
   X(i64, inspectedElements, Deterministic) /* may-read accesses observed */   \
   /* Engine meta-counters. */                                                \
-  X(i64, resolutionTasks, Meta)          /* tasks run on the pool */          \
+  X(i64, resolutionTasks, Meta)          /* shim, always 0 */                 \
   X(double, resolutionWallSeconds, Meta) /* real host time resolving */       \
-  X(double, parallelWallSeconds, Meta)   /* real time in parallel phases */   \
+  X(double, parallelWallSeconds, Meta)   /* shim, always 0 */                 \
   /* Cache-telemetry meta-counters. */                                       \
   X(i64, fmMemoHits, Meta)                                                   \
   X(i64, fmMemoMisses, Meta)                                                 \
@@ -451,15 +424,12 @@ inline RuntimeStats deterministicStats(RuntimeStats s) {
 
 /// Per-tenant slice of the runtime's accounting (Runtime::tenantStats).
 struct TenantStats {
-  i64 submitted = 0;  // launches accepted (serial launches included)
-  i64 rejected = 0;   // trySubmit() admission-control rejections
-  i64 completed = 0;  // launches committed by the engine
+  i64 submitted = 0;  // launches that passed validation
+  i64 completed = 0;  // launches that committed (a throwing launch does not)
   /// This tenant's share of the RuntimeStats counters: the difference of the
   /// aggregate counters across each of its launches, accumulated at commit.
-  /// The wall-clock meta-counters follow the same caveat as RuntimeStats —
-  /// submit-side pre-materialization windows of *other* tenants that overlap
-  /// a commit land in whichever launch is committing, so only the
-  /// Deterministic counters of POLYPART_RUNTIME_STATS are deterministic.
+  /// Counters that accumulate outside launches (repartition(), checkpoint(),
+  /// recoverDevice()) land in no tenant's slice.
   RuntimeStats resolved;
 
   bool operator==(const TenantStats&) const = default;
@@ -481,8 +451,7 @@ class Runtime {
 
   // -- CUDA Runtime replacement (Section 8.4) --------------------------------
   /// Allocates a virtual buffer owned by `tenant` (0 = the single-client
-  /// default).  In pipelined mode allocation drains the pipeline first, so
-  /// machine operations keep program order.
+  /// default).  Throws Error for a negative size or an unknown tenant.
   VirtualBuffer* malloc(i64 bytes, TenantId tenant = 0);
   /// Releases a buffer obtained from malloc().  Freeing the same buffer
   /// twice, or a pointer this runtime never allocated, is a contract
@@ -490,7 +459,8 @@ class Runtime {
   /// buffer table.
   void free(VirtualBuffer* buf);
   /// cudaMemcpy replacement; dst/src are host pointers or VirtualBuffer*
-  /// depending on `kind`.  Device-to-device throws (Section 8.2).
+  /// depending on `kind`.  Device-to-device throws (Section 8.2), and so do
+  /// a negative size and a size beyond the buffer.
   void memcpy(void* dst, const void* src, i64 bytes, MemcpyKind kind);
   /// cudaGetDeviceCount replacement: "always returns 1" (Section 8.4).
   int getDeviceCount() const { return 1; }
@@ -498,51 +468,20 @@ class Runtime {
   void deviceSynchronize();
 
   /// Partitioned kernel launch (Fig. 4).  `grid`/`block` are the original
-  /// single-GPU configuration.  In pipelined mode this is submit() + wait():
-  /// synchronous semantics, pipelined machinery.
+  /// single-GPU configuration.  Validates the request (Error before any work
+  /// on a bad argument, kernel, geometry or cross-tenant buffer), then
+  /// resolves, transfers, executes and updates the trackers on this thread.
   void launch(const std::string& kernelName, const ir::Dim3& grid,
               const ir::Dim3& block, std::span<const LaunchArg> args,
               TenantId tenant = 0);
 
-  // -- pipelined submission (RuntimeConfig::pipelineDepth > 0) ---------------
-  /// Enqueues a launch and returns its epoch (a ticket for wait()).  The
-  /// launch is validated and its plans pre-materialized on this thread; the
-  /// engine thread commits epochs strictly in submission order.  Blocks on
-  /// admission control (maxInFlightPerTenant) and on a full pipeline.  With
-  /// pipelineDepth == 0 the launch commits before returning (the ticket is
-  /// already retired).  Thread-safe: multiple tenants may submit
-  /// concurrently; the relative order of concurrent submissions is decided
-  /// by the epoch each one is assigned.
-  i64 submit(const std::string& kernelName, const ir::Dim3& grid,
-             const ir::Dim3& block, std::span<const LaunchArg> args,
-             TenantId tenant = 0);
-  /// submit() that rejects instead of blocking when the tenant is at its
-  /// admission limit; nullopt = rejected (counted in TenantStats::rejected).
-  std::optional<i64> trySubmit(const std::string& kernelName,
-                               const ir::Dim3& grid, const ir::Dim3& block,
-                               std::span<const LaunchArg> args,
-                               TenantId tenant = 0);
-  /// Blocks until `ticket` (a submit() epoch) has committed, then rethrows
-  /// the first pipeline failure if one occurred.
-  void wait(i64 ticket);
-  /// Blocks until every submitted launch has committed (no-op when serial).
-  void drain();
-  /// True when no submitted launch is outstanding (always true when serial).
-  bool pipelineIdle() const;
-  /// Per-tenant counters; drains first so the numbers are settled.
-  TenantStats tenantStats(TenantId tenant);
-  /// Test hook: invoked on the engine thread immediately before each epoch
-  /// commits.  Set only while the pipeline is idle; pass nullptr to clear.
-  /// Blocking inside the observer stalls the commit stream deterministically
-  /// — that is exactly what the admission-control tests use it for.
-  void setCommitObserver(std::function<void(i64 epoch, TenantId tenant)> fn);
+  /// Per-tenant counters.  Throws Error for an unknown tenant.
+  TenantStats tenantStats(TenantId tenant) const;
 
   /// End-to-end simulated time including outstanding asynchronous work.
   double elapsedSeconds() const;
 
-  /// Aggregate counters.  In pipelined mode, read these only while the
-  /// pipeline is idle (after drain(); the engine thread owns them while
-  /// launches are in flight).
+  /// Aggregate counters.
   const RuntimeStats& stats() const { return stats_; }
   const sim::MachineStats& machineStats() const { return machine_->stats(); }
 
@@ -555,9 +494,8 @@ class Runtime {
   // -- elastic repartitioning (RuntimeConfig::allowRepartitioning) -----------
   /// The current weighted partitioning of `kernelName` (even at start).
   const Partitioning& partitioning(const std::string& kernelName) const;
-  /// Changes `kernelName`'s partitioning to `next` between launches.  Drains
-  /// the pipeline, then migrates only the difference of the old and new
-  /// write footprints (a per-device pset subtraction over the kernel's last
+  /// Changes `kernelName`'s partitioning to `next` between launches.
+  /// Migrates only the difference of the old and new write footprints (a per-device pset subtraction over the kernel's last
   /// launch signature, clipped against live tracker ownership) and updates
   /// the trackers, so subsequent launches resolve against the new layout
   /// with byte-identical results.  Invalidates every tenant's dataflow plan.
@@ -580,7 +518,7 @@ class Runtime {
   // -- device-failure recovery (rt/checkpoint.h) -----------------------------
   /// Host-side snapshot of every byte range that exists on exactly one live
   /// device (replicated ranges survive a single failure without help).
-  /// Drains and synchronizes first.  Cheap relative to a full dump: on
+  /// Synchronizes first.  Cheap relative to a full dump: on
   /// partitioned workloads each device exclusively owns ~1/N of the data.
   Checkpoint checkpoint();
   /// Recovers from the failure of `device` (after sim::Machine::failDevice):
@@ -637,14 +575,6 @@ class Runtime {
                        codegen::EnumerationKeyHash>
         planCache;
     std::deque<codegen::EnumerationKey> planCacheOrder;
-    /// Pipelined-mode prediction of the cache's future contents: submission
-    /// replays the FIFO admission/eviction logic ahead of the commits that
-    /// will actually perform it, so the submitting thread pre-materializes
-    /// exactly the plans the committing launch would miss.  Guarded by
-    /// submitMutex_ (prediction must advance in epoch order).
-    std::unordered_set<codegen::EnumerationKey, codegen::EnumerationKeyHash>
-        predictedPresent;
-    std::deque<codegen::EnumerationKey> predictedOrder;
     /// May-access tier metadata, precomputed at construction.
     /// Args whose writes left the static model (ArrayModel::writeMayAccess):
     /// executeLaunch() observes their stores like instrumented writes, but
@@ -664,7 +594,7 @@ class Runtime {
     /// is active (the footprint sync replaces it).
     std::vector<char> enumIsMayRead;
     /// Inspection cache, FIFO bounded by
-    /// RuntimeConfig::inspectionCacheEntriesPerKernel.  Engine thread only.
+    /// RuntimeConfig::inspectionCacheEntriesPerKernel.
     std::deque<std::shared_ptr<const InspectedFootprints>> inspections;
   };
 
@@ -685,60 +615,38 @@ class Runtime {
     int gpu = 0;
     codegen::PartitionTuple tuple;
     /// Materialized output indexed like KernelEntry::enumerators: a cached
-    /// or prebuilt plan, or a row of passRanges_ (cache off), where only the
-    /// enumerators the pass consumes are filled.
+    /// plan, or a row of passRanges_ (cache off), where only the enumerators
+    /// the pass consumes are filled.
     const codegen::MaterializedRanges* ranges = nullptr;
-    /// Owns a cached or prebuilt plan for the pass (null for passRanges_).
+    /// Owns a cached plan for the pass (null for passRanges_).
     std::shared_ptr<const LaunchPlan> pin;
     bool cached = false;
   };
 
   /// One (device, buffer) unit of a resolution pass: the element `ranges`
   /// that device `gpu` reads or wrote in `buffer`, charged `rows` modeled
-  /// resolution rows at the cached or uncached rate.  `shard` is the
-  /// buffer's phase-2 task (assignShards).
+  /// resolution rows at the cached or uncached rate.
   struct PassItem {
     int gpu = 0;
     VirtualBuffer* buffer = nullptr;
     const std::vector<std::pair<i64, i64>>* ranges = nullptr;
     i64 rows = 0;
     bool cached = false;
-    std::size_t shard = 0;
   };
 
-  /// RAII wall-clock window accumulating into stats_.resolutionWallSeconds
-  /// (under statsMutex_: pipelined mode opens windows on the submitting
-  /// thread — pre-materialization — concurrently with the engine thread's
-  /// launch phases).  Windows may overlap across threads but must not nest
-  /// on one thread for the same runtime: that would double-count the same
-  /// real time, and is asserted against via a thread-local active-window
-  /// marker (the fix for the old per-runtime flag, which would have fired
-  /// spuriously on legitimate cross-thread overlap).
+  /// RAII wall-clock window accumulating into stats_.resolutionWallSeconds.
+  /// Windows must not nest on one runtime (that would count the same real
+  /// time twice); the constructor asserts against it.
   class ResolutionTimer;
 
-  /// A validated launch waiting in the pipeline: everything executeLaunch()
-  /// needs, plus the plans pre-materialized at submission.
-  struct PendingLaunch {
-    i64 epoch = -1;
+  /// A validated launch: everything executeLaunch() needs.
+  struct PreparedLaunch {
     TenantId tenant = 0;
     KernelEntry* ke = nullptr;
     ir::LaunchConfig cfg;
-    std::vector<LaunchArg> args;
+    std::span<const LaunchArg> args;
     std::vector<i64> scalars;
-    /// Plans materialized on the submitting thread, keyed by enumeration
-    /// key.  With the cache on these are the *predicted* misses of the
-    /// cache-FIFO replay; with it off, every non-empty partition's plan.
-    /// Consulted by acquirePlans() during commit; a mispredict merely falls
-    /// back to materializing there (correctness never depends on the
-    /// prediction).
-    std::vector<std::pair<codegen::EnumerationKey,
-                          std::shared_ptr<const LaunchPlan>>>
-        prebuilt;
   };
-
-  /// Pipeline machinery (queue, epoch clock, engine thread); null when
-  /// pipelineDepth == 0.  Defined in runtime.cpp.
-  struct Pipeline;
 
   const KernelEntry& entry(const std::string& name) const;
   KernelEntry& entry(const std::string& name);
@@ -751,7 +659,7 @@ class Runtime {
   /// (failed devices must have weight 0); throws Error otherwise.
   void validatePartitioning(const Partitioning& next) const;
   /// The footprint-difference migration of one kernel's transition
-  /// prev -> next (repartition.cpp).  Caller has drained and validated.
+  /// prev -> next (repartition.cpp).  Caller has validated.
   RepartitionResult migrateKernel(KernelEntry& ke, const Partitioning& prev,
                                   const Partitioning& next);
   /// True when this launch should run the inspector–executor: the knob is
@@ -761,7 +669,7 @@ class Runtime {
   /// walk of the partitioned kernel over mirrors of the current buffer
   /// contents that records the exact per-device element footprint of every
   /// inspectable may-access read.  Functional mode only (the walk needs the
-  /// buffer bytes).  Engine thread.
+  /// buffer bytes).
   std::shared_ptr<const InspectedFootprints> inspectFootprints(
       KernelEntry& ke, const ir::LaunchConfig& cfg,
       std::span<const LaunchArg> args, std::span<const i64> scalars);
@@ -785,17 +693,17 @@ class Runtime {
   /// copied), issued with per-source floors at the producing kernels'
   /// modeled completions, then recorded as shared replicas so the
   /// consumer's reactive resolution skips them.
-  void issuePrefetches(const PendingLaunch& pl, std::size_t step,
+  void issuePrefetches(const PreparedLaunch& pl, std::size_t step,
                        std::vector<double> kernelDone);
   /// Samples the FM-memoization and specialized-program cache counters into
-  /// the stats meta-fields (end of every launch; engine thread).
+  /// the stats meta-fields (end of every launch).
   void sampleCacheCounters();
 
   // -- dependency-resolution engine (DESIGN.md) ------------------------------
   /// Phase 1: acquires one launch plan per non-empty GPU partition.  Cache
   /// off, it materializes only the enumerators `pass` consumes into
-  /// passRanges_; cache on, it first commits the pass to the plan cache on
-  /// this thread (FIFO hit/miss/eviction accounting), then materializes
+  /// passRanges_; cache on, it first commits the pass to the plan cache
+  /// (FIFO hit/miss/eviction accounting in GPU order), then materializes
   /// whole plans for the misses.
   std::vector<PlanAcquisition> acquirePlans(KernelEntry& ke,
                                             const ir::LaunchConfig& cfg,
@@ -807,10 +715,6 @@ class Runtime {
                                          std::span<const LaunchArg> args,
                                          std::span<const PlanAcquisition> acqs,
                                          const ResolutionPass& pass);
-  /// Sets each item's shard and returns the distinct buffers in first-use
-  /// order: one phase-2 task each.
-  static support::SmallVec<VirtualBuffer*, 8> assignShards(
-      std::span<PassItem> items);
   /// The read sync (Fig. 4, first loop).  One engine pass over the
   /// enumerated read sets; with inspected footprints `fp`, a second pass
   /// (its own wall-time window and transfer plan) over the exact may-read
@@ -819,108 +723,58 @@ class Runtime {
                         std::span<const LaunchArg> args,
                         std::span<const i64> scalars,
                         const InspectedFootprints* fp);
-  /// Phases 2+3 of one read pass: per-buffer sharded tracker queries with
-  /// task-local sharer scratch, then a deterministic ordered commit of the
-  /// collected transfer decisions and the modeled costs (`costLabel` sim
-  /// spans) into the machine model.  `countLogicalRows` adds the items'
-  /// rows to RuntimeStats::logicalRowsResolved.
-  void resolveReads(std::vector<PassItem> items, const char* costLabel,
+  /// Phases 2+3 of one read pass: tracker queries per item, then the ordered
+  /// commit of the collected transfer decisions and the modeled costs
+  /// (`costLabel` sim spans) into the machine model.  `countLogicalRows`
+  /// adds the items' rows to RuntimeStats::logicalRowsResolved.
+  void resolveReads(std::span<const PassItem> items, const char* costLabel,
                     bool countLogicalRows);
-  /// Phases 2+3 for the write sets (Fig. 4, third loop): per-buffer sharded
-  /// tracker updates, then the ordered commit of the modeled bookkeeping
-  /// costs.
+  /// Phases 2+3 for the write sets (Fig. 4, third loop): tracker updates per
+  /// item, then the ordered commit of the modeled bookkeeping costs.
   void updateTrackers(KernelEntry& ke, const ir::LaunchConfig& cfg,
                       std::span<const LaunchArg> args,
                       std::span<const i64> scalars);
-  /// Runs body(0..n-1) on the pool, or inline in index order without a pool.
-  void forEachTask(i64 n, const std::function<void(i64)>& body);
-  /// forEachTask() inside a resolution pass: a `label` trace span (must be a
-  /// string literal), and pool tasks accounted in RuntimeStats.
-  void runResolutionTasks(const char* label, i64 n,
-                          const std::function<void(i64)>& body);
 
-  // -- pipelined launch engine (RuntimeConfig::pipelineDepth > 0) ------------
-  bool pipelined() const { return pipeline_ != nullptr; }
   /// Validates a launch request and captures everything executeLaunch()
-  /// needs (the front half of the old launch(), minus any machine/tracker
-  /// state).  Runs on the submitting thread.
-  PendingLaunch prepareLaunch(const std::string& kernelName,
-                              const ir::Dim3& grid, const ir::Dim3& block,
-                              std::span<const LaunchArg> args, TenantId tenant);
-  /// Pure plan pre-materialization on the submitting thread.  Caller holds
-  /// submitMutex_, which makes the cache-FIFO prediction advance in epoch
-  /// order.
-  void prebuildPlans(PendingLaunch& pl);
+  /// needs.  Throws Error before any machine, tracker or stats state is
+  /// touched.
+  PreparedLaunch prepareLaunch(const std::string& kernelName,
+                               const ir::Dim3& grid, const ir::Dim3& block,
+                               std::span<const LaunchArg> args,
+                               TenantId tenant);
   /// The Fig. 4 flow against a prepared launch: sync reads, launch the
-  /// partitions, update trackers.  Engine thread (or the calling thread in
-  /// serial mode) — all machine/tracker/stats state is touched here only.
-  void executeLaunch(PendingLaunch& pl);
-  /// executeLaunch() plus the per-tenant stats diff accounting.
-  void commitLaunch(PendingLaunch& pl);
-  /// The prebuilt plan for `key` of the launch currently committing, if the
-  /// submitting thread materialized one.
-  std::shared_ptr<const LaunchPlan> findPrebuilt(
-      const codegen::EnumerationKey& key) const;
-  std::optional<i64> submitImpl(const std::string& kernelName,
-                                const ir::Dim3& grid, const ir::Dim3& block,
-                                std::span<const LaunchArg> args,
-                                TenantId tenant, bool blocking);
-  /// Engine-thread main loop: pop, commit in epoch order, retire.
-  void pipelineLoop();
-  /// Rethrows (once) the first failure captured on the engine thread.
-  void rethrowPipelineError();
-  RuntimeStats statsSnapshot() const;
+  /// partitions, update trackers.
+  void executeLaunch(const PreparedLaunch& pl);
 
   RuntimeConfig config_;
   analysis::ApplicationModel model_;
   std::unique_ptr<sim::Machine> machine_;
-  std::unique_ptr<support::ThreadPool> pool_;  // null: resolution runs inline
   std::map<std::string, KernelEntry> kernels_;
   std::vector<std::unique_ptr<VirtualBuffer>> buffers_;
   /// Addresses of buffers released through free(): distinguishes a double
   /// free from a free of a pointer this runtime never allocated.
   std::vector<const VirtualBuffer*> freedBuffers_;
   RuntimeStats stats_;
+  /// Per-tenant counters, indexed by TenantId.
+  std::vector<TenantStats> tenants_;
+  /// True while a ResolutionTimer window is open.
+  bool resolutionWindowOpen_ = false;
   /// Cache-off plan storage of the current resolution pass, acquisitions x
   /// enumerators, reused across passes so steady-state launches enumerate
-  /// into retained capacity.  Committing thread only.
+  /// into retained capacity.
   std::vector<codegen::MaterializedRanges> passRanges_;
   /// Cross-launch dataflow planners, one per tenant (empty unless
   /// dataflowPlanning is on and dependency resolution + transfers are
   /// enabled).  Buffers are tenant-owned, so cross-tenant flow edges cannot
   /// exist; per-tenant sequences keep each tenant's cycle detection — and
   /// therefore its stats slice — independent of how other tenants' launches
-  /// interleave with it.  Touched only on the launch-commit path, which is
-  /// serial by construction.
+  /// interleave with it.
   std::vector<std::unique_ptr<DataflowPlanner>> planners_;
   /// FM-memoization counter baseline at construction: the memo table is
   /// process-wide, so per-runtime telemetry is the counter delta.
   i64 fmBaseHits_ = 0;
   i64 fmBaseMisses_ = 0;
   i64 fmBaseEvictions_ = 0;
-  /// Guards the cross-thread RuntimeStats fields: submit threads accumulate
-  /// resolutionWallSeconds while the engine thread owns everything else, and
-  /// statsSnapshot() copies the whole struct under this lock.
-  mutable std::mutex statsMutex_;
-
-  // -- pipelined launch engine state -----------------------------------------
-  std::unique_ptr<Pipeline> pipeline_;  // null when pipelineDepth == 0
-  /// Serializes epoch issue + enqueue (and the cache-FIFO prediction), so
-  /// concurrent submitters reach the queue in epoch order.
-  std::mutex submitMutex_;
-  /// Guards tenants_ (admission counters + per-tenant stats).
-  mutable std::mutex tenantMutex_;
-  std::condition_variable admissionCv_;
-  struct TenantState {
-    i64 inFlight = 0;  // submitted, not yet committed
-    TenantStats stats;
-  };
-  std::vector<TenantState> tenants_;
-  /// The launch currently committing (engine thread only); acquirePlans
-  /// consults its prebuilt plans through findPrebuilt().
-  const PendingLaunch* activePending_ = nullptr;
-  std::function<void(i64, TenantId)> commitObserver_;
-  i64 serialNextTicket_ = 0;  // submit() tickets in serial mode
 };
 
 }  // namespace polypart::rt

@@ -107,17 +107,10 @@ class SegmentTrackerT {
   i64 size() const { return size_; }
   std::size_t segmentCount() const { return segments_.size(); }
 
-  /// Mutation counter: bumped by every update()/addSharer() that reached the
-  /// segment map.  Cheap cross-launch fingerprint — the pipelined-launch
-  /// tests compare versions (and dump()s) to prove two interleavings drove a
-  /// tracker through the same state without walking it after every launch.
-  u64 version() const { return version_; }
-
   /// Content counter: bumped only by update() — writes to the tracked
   /// buffer — never by sharer bookkeeping.  The inspector–executor keys its
-  /// footprint cache on this: update() sequences are byte-identical across
-  /// the resolution engines, while addSharer() patterns vary with
-  /// trackSharedCopies/dataflowPlanning, so caching on version() would make
+  /// footprint cache on this: addSharer() patterns vary with
+  /// trackSharedCopies/dataflowPlanning, so counting them too would make
   /// cache hits (and the modeled inspection cost) knob-dependent.
   u64 contentVersion() const { return contentVersion_; }
 
@@ -147,7 +140,6 @@ class SegmentTrackerT {
   void update(i64 begin, i64 end, Owner owner) {
     clamp(begin, end);
     if (begin >= end) return;
-    ++version_;
     ++contentVersion_;
 
     // Split the segment containing `begin` when it straddles the boundary.
@@ -176,7 +168,6 @@ class SegmentTrackerT {
     // anyway would create adjacent segments with identical (owner, sharers)
     // state and rely on coalesceRange to re-merge every one of them.
     if (sharerBit(device) == 0) return;
-    ++version_;
     splitAt(begin);
     splitAt(end);
     for (auto it = segments_.lowerBound(begin); !it.atEnd() && it.key() < end;
@@ -201,7 +192,6 @@ class SegmentTrackerT {
       changed = true;
     }
     if (!changed) return;
-    ++version_;
     coalesceRange(0, size_);
   }
 
@@ -349,7 +339,6 @@ class SegmentTrackerT {
   }
 
   i64 size_ = 0;
-  u64 version_ = 0;
   u64 contentVersion_ = 0;
   MapT<i64, Seg> segments_;
   mutable std::vector<i64> eraseScratch_;

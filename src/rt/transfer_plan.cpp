@@ -209,11 +209,6 @@ const std::vector<ScheduledTransfer>& TransferPlan::schedule() {
   return scheduled_;
 }
 
-void TransferPlan::setIssueTag(i64 epoch, int tenant) {
-  issueEpoch_ = epoch;
-  issueTenant_ = tenant;
-}
-
 void TransferPlan::setSrcFloors(std::vector<double> srcFloors) {
   srcFloors_ = std::move(srcFloors);
 }
@@ -226,13 +221,8 @@ const TransferPlanStats& TransferPlan::issue(sim::Machine& machine,
   i64 waveCopies = 0;
   auto flushWave = [&] {
     if (wave < 0) return;
-    if (issueEpoch_ >= 0)
-      trace::instant(tracer, "transfer", "plan-wave",
-                     {{"wave", wave}, {"copies", waveCopies},
-                      {"epoch", issueEpoch_}});
-    else
-      trace::instant(tracer, "transfer", "plan-wave",
-                     {{"wave", wave}, {"copies", waveCopies}});
+    trace::instant(tracer, "transfer", "plan-wave",
+                   {{"wave", wave}, {"copies", waveCopies}});
   };
   for (std::size_t i = 0; i < scheduled_.size(); ++i) {
     const ScheduledTransfer& t = scheduled_[i];
@@ -254,10 +244,6 @@ const TransferPlanStats& TransferPlan::issue(sim::Machine& machine,
                    {{"src", t.src}, {"dst", t.dst}, {"bytes", t.end - t.begin}});
   }
   flushWave();
-  if (issueEpoch_ >= 0 && !scheduled_.empty())
-    trace::tenantInstant(tracer, issueTenant_, "transfer", "plan-issued",
-                         {{"epoch", issueEpoch_},
-                          {"copies", static_cast<i64>(scheduled_.size())}});
   return stats_;
 }
 

@@ -20,13 +20,11 @@
 //   (c) issues wave by wave, round-robin across (src, dst) links, so
 //       transfers spread over distinct engines instead of serializing.
 //
-// Equivalence: decisions are recorded in the canonical serial resolution
-// order (GPU ascending, enumerator ascending, tracker-walk order), the same
-// order at every resolutionThreads value, so the schedule — and therefore
-// functional results, tracker state, and byte counters — is identical across
-// thread counts.  Scheduling changes only *how* the decided bytes move, never
-// which bytes land where (transfer_plan_test.cpp holds this against the
-// unscheduled path too).
+// Equivalence: decisions are recorded in the canonical resolution order
+// (GPU ascending, enumerator ascending, tracker-walk order), so the schedule
+// is deterministic.  Scheduling changes only *how* the decided bytes move,
+// never which bytes land where (transfer_plan_test.cpp holds this against
+// the unscheduled path).
 
 #include <cstddef>
 #include <vector>
@@ -109,13 +107,6 @@ class TransferPlan {
 
   const TransferPlanStats& stats() const { return stats_; }
 
-  /// Tags this plan's trace output with the launch that issues it: the wave
-  /// instants carry the launch `epoch`, and a tenant-domain summary instant
-  /// attributes the issued copies to `tenant`'s track (trace.h kTenantPid).
-  /// Untagged plans (epoch < 0, the default) emit the classic events only —
-  /// the pipelined runtime tags, the serial paper path does not.
-  void setIssueTag(i64 epoch, int tenant);
-
   /// Per-source-device earliest-start floors, indexed by device ordinal:
   /// every copy sourcing from device `d` starts no earlier than
   /// `srcFloors[d]` (in addition to its chain parent's completion).  The
@@ -131,8 +122,6 @@ class TransferPlan {
 
  private:
   Options opts_;
-  i64 issueEpoch_ = -1;
-  int issueTenant_ = 0;
   bool prefetch_ = false;
   std::vector<double> srcFloors_;
   std::vector<TransferRecord> records_;

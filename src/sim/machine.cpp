@@ -263,11 +263,6 @@ void Machine::setLaunchTag(int tag) {
   launchTag_ = tag;
 }
 
-double Machine::kernelBusySecondsForTag(int tag) const {
-  if (tag < 0 || tag >= static_cast<int>(kernelBusyByTag_.size())) return 0.0;
-  return kernelBusyByTag_[static_cast<std::size_t>(tag)];
-}
-
 double Machine::launchKernel(int device, const ir::Kernel& kernel,
                              const ir::LaunchConfig& cfg,
                              std::span<const KernelArg> args,
@@ -317,9 +312,6 @@ double Machine::launchKernel(int device, const ir::Kernel& kernel,
   d.computeReady = start + duration;
   stats_.kernelBusySeconds += duration;
   d.kernelBusy += duration;
-  if (launchTag_ >= static_cast<int>(kernelBusyByTag_.size()))
-    kernelBusyByTag_.resize(static_cast<std::size_t>(launchTag_) + 1, 0.0);
-  kernelBusyByTag_[static_cast<std::size_t>(launchTag_)] += duration;
   trace::simSpan(tracer_, "sim.kernel", kernel.name(), simComputeTrack(device),
                  start, duration,
                  {{"device", device},

@@ -155,18 +155,14 @@ class Machine {
   const MachineStats& stats() const { return stats_; }
   void resetStats() {
     stats_ = {};
-    kernelBusyByTag_.clear();
     for (Device& d : devices_) d.kernelBusy = 0;
   }
 
-  /// Tags subsequent launchKernel() calls with a client (tenant) ordinal:
-  /// the tag is attached to kernel sim spans and accumulates into a per-tag
-  /// kernel busy-seconds ledger, so a multi-tenant run can attribute the one
-  /// shared machine's compute time to the client that consumed it.  The
-  /// default tag 0 is the single-client convention.
+  /// Tags subsequent launchKernel() calls with a client (tenant) ordinal,
+  /// attached to their kernel sim spans so a multi-tenant trace shows which
+  /// client used the shared machine.  The default tag 0 is the
+  /// single-client convention.
   void setLaunchTag(int tag);
-  /// Kernel busy seconds accumulated under `tag` (0 for a tag never used).
-  double kernelBusySecondsForTag(int tag) const;
 
   /// Attaches a tracer: every kernel and copy thereafter emits a sim-domain
   /// span on its engine's track (timestamps are simulated seconds, so the
@@ -224,8 +220,6 @@ class Machine {
   MachineStats stats_;
   bool deviceOrdering_ = false;
   int launchTag_ = 0;
-  /// Kernel busy seconds per launch tag, indexed by tag (grown on demand).
-  std::vector<double> kernelBusyByTag_;
   trace::Tracer* tracer_ = nullptr;
 };
 

@@ -92,22 +92,6 @@ void Tracer::counterImpl(const char* category, std::string name, i64 value) {
   append(Event::Kind::Counter, category, std::move(name), {Arg{"value", value}});
 }
 
-void Tracer::tenantInstantImpl(int tenant, const char* category,
-                               std::string name,
-                               std::initializer_list<Arg> args) {
-  Event& e = append(Event::Kind::Instant, category, std::move(name), args);
-  e.pid = kTenantPid;
-  e.track = tenant;
-}
-
-void Tracer::tenantCounterImpl(int tenant, const char* category,
-                               std::string name, i64 value) {
-  Event& e = append(Event::Kind::Counter, category, std::move(name),
-                    {Arg{"value", value}});
-  e.pid = kTenantPid;
-  e.track = tenant;
-}
-
 void Tracer::simSpanImpl(const char* category, std::string name, int simTid,
                          double startSeconds, double durationSeconds,
                          std::initializer_list<Arg> args) {
@@ -150,18 +134,9 @@ void Tracer::endLaunch() {
   currentLaunch_.store(-1, std::memory_order_relaxed);
 }
 
-void Tracer::nameCurrentThread(std::string name) {
-  buffer().name = std::move(name);
-}
-
 void Tracer::nameSimTrack(int simTid, std::string name) {
   std::lock_guard<std::mutex> lock(mutex_);
   simTrackNames_[simTid] = std::move(name);
-}
-
-void Tracer::nameTenantTrack(int tenant, std::string name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  tenantTrackNames_[tenant] = std::move(name);
 }
 
 std::size_t Tracer::eventCount() const {
@@ -188,19 +163,10 @@ json::Value Tracer::toJson() const {
   };
   meta(kWallPid, 0, "process_name", "host (wall clock)");
   meta(kSimPid, 0, "process_name", "machine (simulated time)");
-  // The tenant process appears only when the runtime actually recorded
-  // tenant-domain events (single-client traces stay two-process).
-  bool anyTenant = !tenantTrackNames_.empty();
   for (const auto& b : buffers_)
-    for (const Event& e : b->events) anyTenant |= e.pid == kTenantPid;
-  if (anyTenant) meta(kTenantPid, 0, "process_name", "tenants (launch streams)");
-  for (const auto& b : buffers_)
-    meta(kWallPid, b->tid, "thread_name",
-         b->name.empty() ? "thread " + std::to_string(b->tid) : b->name);
+    meta(kWallPid, b->tid, "thread_name", "thread " + std::to_string(b->tid));
   for (const auto& [tid, name] : simTrackNames_)
     meta(kSimPid, tid, "thread_name", name);
-  for (const auto& [tid, name] : tenantTrackNames_)
-    meta(kTenantPid, tid, "thread_name", name);
 
   // Stable order: buffers in registration order, events in append order,
   // then a stable sort by timestamp (ordinals under deterministic mode, so

@@ -285,18 +285,16 @@ TEST(DataflowPlan, RandomizedDivergenceFuzz) {
 }
 
 TEST(DataflowPlan, PlanningComposesWithPipelineAndThreads) {
-  // The planner observes launches on the commit path, which is serial at
-  // every pipeline depth and thread count: results and deterministic stats
-  // must be invariant across the engine axes with planning on.
+  // The planner observes every launch on the launching thread: results and
+  // deterministic stats with planning on must repeat exactly.  (The name
+  // predates the removal of the pipeline-depth and thread-count axes.)
   const std::vector<double> x0 = seededInput(22);
   const std::vector<ScriptStep> script = regularScript(6, kN / 2);
-  auto runWith = [&](int depth, int threads) {
+  auto runWith = [&] {
     RuntimeConfig cfg;
     cfg.numGpus = 4;
     cfg.mode = sim::ExecutionMode::Functional;
     cfg.dataflowPlanning = true;
-    cfg.pipelineDepth = depth;
-    cfg.resolutionThreads = threads;
     Runtime rt(cfg, loopModel(), loopModule());
     const i64 bytes = kN * 8;
     VirtualBuffer* vx = rt.malloc(bytes);
@@ -327,17 +325,11 @@ TEST(DataflowPlan, PlanningComposesWithPipelineAndThreads) {
     out.stats = deterministicStats(rt.stats());
     return out;
   };
-  RunOut ref = runWith(0, 0);
+  RunOut ref = runWith();
   EXPECT_GT(ref.stats.plannedLaunches, 0);
-  for (int depth : {0, 2}) {
-    for (int threads : {0, 3}) {
-      if (depth == 0 && threads == 0) continue;
-      RunOut got = runWith(depth, threads);
-      EXPECT_EQ(got.x, ref.x) << "depth=" << depth << " threads=" << threads;
-      EXPECT_EQ(got.stats, ref.stats)
-          << "depth=" << depth << " threads=" << threads;
-    }
-  }
+  RunOut got = runWith();
+  EXPECT_EQ(got.x, ref.x);
+  EXPECT_EQ(got.stats, ref.stats);
 }
 
 TEST(DataflowPlan, PlannedCycleSurvivesRepartition) {

@@ -169,7 +169,9 @@ TEST(EnumeratorFuzz, RangesMatchObservedFootprint) {
   // Every generated kernel writes an interior plus a border copy-through, so
   // the sweep must reach the proven-hull write path it is checking.
   RecordProperty("proven_hulls", provenHulls);
-  if (!fuzz::seedPinned()) EXPECT_GT(provenHulls, 0);
+  if (!fuzz::seedPinned()) {
+    EXPECT_GT(provenHulls, 0);
+  }
 }
 
 /// Three-way differential oracle over the execution tiers: for every random
@@ -257,7 +259,9 @@ TEST(EnumeratorFuzz, TiersMaterializeIdenticalRanges) {
     }
   }
   RecordProperty("proven_hulls", provenHulls);
-  if (!fuzz::seedPinned()) EXPECT_GT(provenHulls, 0);
+  if (!fuzz::seedPinned()) {
+    EXPECT_GT(provenHulls, 0);
+  }
 }
 
 }  // namespace

@@ -125,8 +125,9 @@ TEST(InspectorFuzz, BfsFrontiersWithDuplicatesAndEmptyRows) {
                        nfront, front.data(), got.data());
       ASSERT_EQ(got, expect)
           << rng.replay() << ", " << gpus << " GPUs, inspector=" << inspector;
-      if (inspector)
+      if (inspector) {
         ASSERT_EQ(rt.stats().inspectedElements, 2 * nfront) << rng.replay();
+      }
     }
   }
 }

@@ -223,13 +223,11 @@ INSTANTIATE_TEST_SUITE_P(BothModes, IrregularModes, ::testing::Bool(),
                          });
 
 // --------------------------------------------------------------------------
-// Full knob sweep: inspectorExecutor x enumerationCache x resolutionThreads
-// x pipelineDepth x dataflowPlanning, all three workloads; inspector-on cells
-// also sweep trackSharedCopies x transferScheduling, the sharer-recording and
-// scheduled-plan branches of the inspected may-read pass.  Bytes compare
-// against the CPU reference everywhere; the deterministic stats must be
-// engine-invariant within each (inspector, cache, planning, shared,
-// scheduling) cell (threads and depth may never perturb them).
+// Full knob sweep: inspectorExecutor x enumerationCache x dataflowPlanning,
+// all three workloads; inspector-on cells also sweep trackSharedCopies x
+// transferScheduling, the sharer-recording and scheduled-plan branches of
+// the inspected may-read pass.  Bytes compare against the CPU reference
+// everywhere, and only inspector-on cells run inspection walks.
 
 TEST(Irregular, ByteIdenticalAcrossAllKnobs) {
   Rng rng(414);
@@ -260,12 +258,9 @@ TEST(Irregular, ByteIdenticalAcrossAllKnobs) {
              " sched=" + std::to_string(sched);
     }
   };
-  auto run = [&](const Cell& c, int threads, int depth,
-                 RuntimeStats* statsOut) {
+  auto run = [&](const Cell& c, RuntimeStats* statsOut) {
     RuntimeConfig cfg = irregularConfig(4, c.inspector);
     cfg.enableEnumerationCache = c.cache;
-    cfg.resolutionThreads = threads;
-    cfg.pipelineDepth = depth;
     cfg.dataflowPlanning = c.planning;
     cfg.trackSharedCopies = c.shared;
     cfg.transferScheduling = c.sched;
@@ -295,23 +290,10 @@ TEST(Irregular, ByteIdenticalAcrossAllKnobs) {
             if (inspector || (!shared && !sched))
               cells.push_back(Cell{inspector, cache, planning, shared, sched});
   for (const Cell& c : cells) {
-    RuntimeStats refStats;
-    {
-      SCOPED_TRACE("reference: " + c.name());
-      run(c, /*threads=*/0, /*depth=*/0, &refStats);
-    }
-    EXPECT_EQ(refStats.inspectorRuns > 0, c.inspector);
-    for (int threads : {0, 3}) {
-      for (int depth : {0, 2}) {
-        if (threads == 0 && depth == 0) continue;
-        SCOPED_TRACE(c.name() + " threads=" + std::to_string(threads) +
-                     " depth=" + std::to_string(depth));
-        RuntimeStats s;
-        run(c, threads, depth, &s);
-        EXPECT_EQ(s, refStats)
-            << "threads/depth perturb deterministic runtime statistics";
-      }
-    }
+    SCOPED_TRACE(c.name());
+    RuntimeStats stats;
+    run(c, &stats);
+    EXPECT_EQ(stats.inspectorRuns > 0, c.inspector);
   }
 }
 

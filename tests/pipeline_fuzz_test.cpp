@@ -108,10 +108,10 @@ struct TenantStream {
 TEST(PipelineFuzz, InterleavedTenantStreamsMatchSerialExecution) {
   // Random multi-tenant launch streams: each tenant owns one generated
   // kernel and its buffers; a randomized round-robin interleaves their
-  // submissions through the pipelined engine across pipeline depths, engine
-  // thread counts, cache settings, and transfer scheduling.  Every
-  // configuration must gather byte-identical outputs to the serial
-  // (depth 0, threads 0) runtime executing the same per-tenant streams.
+  // launches on one shared runtime, across cache settings and transfer
+  // scheduling.  Every configuration must gather, for every tenant,
+  // byte-identical outputs to a runtime that executes that tenant's stream
+  // alone.
   const int iters = fuzz::caseCount(6);
   for (int iter = 0; iter < iters; ++iter) {
     fuzz::SeededRng rng(fuzz::seedFor(9393, iter));
@@ -147,7 +147,7 @@ TEST(PipelineFuzz, InterleavedTenantStreamsMatchSerialExecution) {
     }
 
     // The interleave order and per-tenant launch counts are drawn once and
-    // replayed identically under every engine configuration.
+    // replayed identically under every configuration.
     std::vector<int> order;
     for (int t = 0; t < tenants; ++t) {
       const int launches = 2 + static_cast<int>(rng.next() % 3);  // 2..4
@@ -156,12 +156,12 @@ TEST(PipelineFuzz, InterleavedTenantStreamsMatchSerialExecution) {
     for (std::size_t i = order.size(); i > 1; --i)
       std::swap(order[i - 1], order[rng.next() % i]);
 
-    auto run = [&](int depth, int threads, bool cache, bool xferSched) {
+    // Runs the interleaved streams, or only tenant `solo`'s launches when
+    // solo >= 0, and gathers every tenant's output buffer.
+    auto run = [&](bool cache, bool xferSched, int solo) {
       RuntimeConfig rc;
       rc.numGpus = 3;
       rc.mode = sim::ExecutionMode::Functional;
-      rc.pipelineDepth = depth;
-      rc.resolutionThreads = threads;
       rc.enableEnumerationCache = cache;
       rc.transferScheduling = xferSched;
       rc.numTenants = tenants;
@@ -177,13 +177,13 @@ TEST(PipelineFuzz, InterleavedTenantStreamsMatchSerialExecution) {
         s.bufs.push_back(rt.malloc(s.elems * 8, t));
       }
       for (int t : order) {
+        if (solo >= 0 && t != solo) continue;
         TenantStream& s = streams[static_cast<std::size_t>(t)];
         std::vector<LaunchArg> args;
         args.push_back(LaunchArg::ofInt(s.n));
         for (VirtualBuffer* vb : s.bufs) args.push_back(LaunchArg::ofBuffer(vb));
-        rt.submit(s.g.kernel->name(), s.cfg.grid, s.cfg.block, args, t);
+        rt.launch(s.g.kernel->name(), s.cfg.grid, s.cfg.block, args, t);
       }
-      rt.drain();
       std::vector<std::vector<double>> outs;
       for (int t = 0; t < tenants; ++t) {
         TenantStream& s = streams[static_cast<std::size_t>(t)];
@@ -195,15 +195,14 @@ TEST(PipelineFuzz, InterleavedTenantStreamsMatchSerialExecution) {
       return outs;
     };
 
-    const std::vector<std::vector<double>> serial =
-        run(/*depth=*/0, /*threads=*/0, /*cache=*/true, /*xferSched=*/false);
-    for (int depth : {1, 3})
-      for (int threads : {0, 2})
-        for (bool cache : {false, true})
-          for (bool xferSched : {false, true})
-            ASSERT_EQ(run(depth, threads, cache, xferSched), serial)
-                << "depth " << depth << " threads " << threads << " cache "
-                << cache << " xferSched " << xferSched;
+    std::vector<std::vector<double>> alone;
+    for (int t = 0; t < tenants; ++t)
+      alone.push_back(run(/*cache=*/true, /*xferSched=*/false, t)
+                          [static_cast<std::size_t>(t)]);
+    for (bool cache : {false, true})
+      for (bool xferSched : {false, true})
+        ASSERT_EQ(run(cache, xferSched, /*solo=*/-1), alone)
+            << "cache " << cache << " xferSched " << xferSched;
   }
 }
 

@@ -297,8 +297,11 @@ TEST(ProjectionProperty, RangeMatchesImage) {
     for (i64 v = -10; v < 30; ++v) {
       i64 outs[] = {v};
       bool inRange = r.containsPoint({}, outs);
-      if (truth.count(v)) EXPECT_TRUE(inRange) << "scale " << scale;
-      else if (r.exact()) EXPECT_FALSE(inRange) << "scale " << scale << " v " << v;
+      if (truth.count(v)) {
+        EXPECT_TRUE(inRange) << "scale " << scale;
+      } else if (r.exact()) {
+        EXPECT_FALSE(inRange) << "scale " << scale << " v " << v;
+      }
     }
   }
 }

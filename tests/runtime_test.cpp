@@ -95,7 +95,6 @@ TEST(Runtime, UnknownKernelNameThrows) {
   RuntimeConfig cfg;
   cfg.numGpus = 2;
   cfg.numTenants = 2;
-  cfg.pipelineDepth = 2;
   ir::Module mod = apps::buildBenchmarkModule();
   Runtime rt(cfg, analysis::analyzeModule(mod), mod);
   EXPECT_THROW(rt.partitionedKernel("no_such_kernel"), Error);
@@ -105,7 +104,6 @@ TEST(Runtime, UnknownKernelNameThrows) {
   } catch (const Error& e) {
     EXPECT_STREQ(e.what(), "unknown kernel 'no_such_kernel'");
   }
-  EXPECT_THROW(rt.submit("no_such_kernel", {1, 1, 1}, {128, 1, 1}, {}), Error);
 
   // Both tenants keep working after the rejected launches.
   const i64 n = 512;
@@ -125,56 +123,46 @@ TEST(Runtime, UnknownKernelNameThrows) {
   }
 }
 
-// Malformed launch arguments are bad user input too.  Each of the four
-// faults throws before anything is enqueued, naming the kernel, parameter,
-// and expected and actual values; a pipelined two-tenant runtime keeps
-// serving both tenants afterwards.
+// Malformed launch arguments are bad user input too.  Each of the five
+// faults throws before any work is done, naming the kernel, parameter, and
+// expected and actual values; a two-tenant runtime keeps serving both
+// tenants afterwards.
 TEST(Runtime, BadLaunchArgumentsThrow) {
   RuntimeConfig cfg;
   cfg.numGpus = 2;
   cfg.numTenants = 2;
-  cfg.pipelineDepth = 2;
   ir::Module mod = apps::buildBenchmarkModule();
   Runtime rt(cfg, analysis::analyzeModule(mod), mod);
   const i64 n = 512;
   VirtualBuffer* x0 = rt.malloc(n * 8, 0);
   VirtualBuffer* y0 = rt.malloc(n * 8, 0);
   VirtualBuffer* x1 = rt.malloc(n * 8, 1);
-  auto message = [&](std::vector<LaunchArg> args, bool viaSubmit) -> std::string {
+  auto message = [&](std::vector<LaunchArg> args) -> std::string {
     try {
-      if (viaSubmit)
-        rt.submit("saxpy", {n / 128, 1, 1}, {128, 1, 1}, args, 0);
-      else
-        rt.launch("saxpy", {n / 128, 1, 1}, {128, 1, 1}, args, 0);
+      rt.launch("saxpy", {n / 128, 1, 1}, {128, 1, 1}, args, 0);
     } catch (const Error& e) {
       return e.what();
     }
     return "no error";
   };
-  for (bool viaSubmit : {false, true}) {
-    EXPECT_EQ(message({LaunchArg::ofInt(n), LaunchArg::ofFloat(3.0),
-                       LaunchArg::ofBuffer(x0)},
-                      viaSubmit),
-              "kernel 'saxpy' expects 4 arguments, got 3");
-    EXPECT_EQ(message({LaunchArg::ofInt(n), LaunchArg::ofBuffer(x0),
-                       LaunchArg::ofBuffer(x0), LaunchArg::ofBuffer(y0)},
-                      viaSubmit),
-              "kernel 'saxpy': parameter 'a' expects a scalar, got an array");
-    EXPECT_EQ(message({LaunchArg::ofInt(n), LaunchArg::ofFloat(3.0),
-                       LaunchArg::ofInt(0), LaunchArg::ofBuffer(y0)},
-                      viaSubmit),
-              "kernel 'saxpy': parameter 'x' expects an array, got a scalar");
-    EXPECT_EQ(message({LaunchArg::ofFloat(512.0), LaunchArg::ofFloat(3.0),
-                       LaunchArg::ofBuffer(x0), LaunchArg::ofBuffer(y0)},
-                      viaSubmit),
-              "kernel 'saxpy': parameter 'n' expects i64, got f64");
-    EXPECT_EQ(message({LaunchArg::ofInt(n), LaunchArg::ofFloat(3.0),
-                       LaunchArg::ofBuffer(x1), LaunchArg::ofBuffer(y0)},
-                      viaSubmit),
-              "kernel 'saxpy': parameter 'x' is a buffer of tenant 1, launch "
-              "is for tenant 0");
-  }
+  EXPECT_EQ(message({LaunchArg::ofInt(n), LaunchArg::ofFloat(3.0),
+                     LaunchArg::ofBuffer(x0)}),
+            "kernel 'saxpy' expects 4 arguments, got 3");
+  EXPECT_EQ(message({LaunchArg::ofInt(n), LaunchArg::ofBuffer(x0),
+                     LaunchArg::ofBuffer(x0), LaunchArg::ofBuffer(y0)}),
+            "kernel 'saxpy': parameter 'a' expects a scalar, got an array");
+  EXPECT_EQ(message({LaunchArg::ofInt(n), LaunchArg::ofFloat(3.0),
+                     LaunchArg::ofInt(0), LaunchArg::ofBuffer(y0)}),
+            "kernel 'saxpy': parameter 'x' expects an array, got a scalar");
+  EXPECT_EQ(message({LaunchArg::ofFloat(512.0), LaunchArg::ofFloat(3.0),
+                     LaunchArg::ofBuffer(x0), LaunchArg::ofBuffer(y0)}),
+            "kernel 'saxpy': parameter 'n' expects i64, got f64");
+  EXPECT_EQ(message({LaunchArg::ofInt(n), LaunchArg::ofFloat(3.0),
+                     LaunchArg::ofBuffer(x1), LaunchArg::ofBuffer(y0)}),
+            "kernel 'saxpy': parameter 'x' is a buffer of tenant 1, launch "
+            "is for tenant 0");
   EXPECT_EQ(rt.stats().launches, 0);
+  EXPECT_EQ(rt.tenantStats(0).submitted, 0);
   rt.free(x0);
   rt.free(y0);
   rt.free(x1);
@@ -188,12 +176,62 @@ TEST(Runtime, BadLaunchArgumentsThrow) {
     rt.memcpy(vy, y.data(), n * 8, MemcpyKind::HostToDevice);
     LaunchArg args[] = {LaunchArg::ofInt(n), LaunchArg::ofFloat(3.0),
                         LaunchArg::ofBuffer(vx), LaunchArg::ofBuffer(vy)};
-    rt.submit("saxpy", {n / 128, 1, 1}, {128, 1, 1}, args, t);
+    rt.launch("saxpy", {n / 128, 1, 1}, {128, 1, 1}, args, t);
     rt.memcpy(y.data(), vy, n * 8, MemcpyKind::DeviceToHost);
     EXPECT_EQ(y, std::vector<double>(n, 7.0)) << "tenant " << t;
     rt.free(vx);
     rt.free(vy);
   }
+}
+
+// Bad sizes and tenant ordinals passed to malloc, memcpy and tenantStats
+// throw an Error naming the call and the value, and the runtime stays
+// usable.
+TEST(Runtime, BadBufferArgumentsThrow) {
+  RuntimeConfig cfg;
+  cfg.numGpus = 2;
+  cfg.numTenants = 2;
+  ir::Module mod = apps::buildBenchmarkModule();
+  Runtime rt(cfg, analysis::analyzeModule(mod), mod);
+  auto message = [](auto&& call) -> std::string {
+    try {
+      call();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(message([&] { rt.malloc(-8); }),
+            "Runtime::malloc: bytes must be >= 0, got -8");
+  EXPECT_EQ(message([&] { rt.malloc(64, 2); }),
+            "Runtime::malloc: unknown tenant 2 (numTenants 2)");
+  EXPECT_EQ(message([&] { rt.malloc(64, -1); }),
+            "Runtime::malloc: unknown tenant -1 (numTenants 2)");
+  EXPECT_EQ(message([&] { rt.tenantStats(5); }),
+            "Runtime::tenantStats: unknown tenant 5 (numTenants 2)");
+
+  VirtualBuffer* vb = rt.malloc(64);
+  std::vector<double> host(16, 1.0);
+  EXPECT_EQ(message([&] {
+              rt.memcpy(vb, host.data(), -1, MemcpyKind::HostToDevice);
+            }),
+            "Runtime::memcpy: bytes must be >= 0, got -1");
+  EXPECT_EQ(message([&] {
+              rt.memcpy(vb, host.data(), 128, MemcpyKind::HostToDevice);
+            }),
+            "Runtime::memcpy: 128 bytes exceed the 64-byte buffer");
+  EXPECT_EQ(message([&] {
+              rt.memcpy(host.data(), vb, 72, MemcpyKind::DeviceToHost);
+            }),
+            "Runtime::memcpy: 72 bytes exceed the 64-byte buffer");
+  EXPECT_EQ(message([&] {
+              rt.memcpy(vb, host.data(), 64, MemcpyKind::HostToDevice);
+            }),
+            "no error");
+  std::vector<double> back(8, 0.0);
+  rt.memcpy(back.data(), vb, 64, MemcpyKind::DeviceToHost);
+  EXPECT_EQ(back, std::vector<double>(8, 1.0));
+  rt.free(vb);
 }
 
 // Bad config values are user input as well: the constructor throws an Error
@@ -216,11 +254,14 @@ TEST(Runtime, BadConfigThrows) {
             "RuntimeConfig::numGpus must be >= 1, got 0");
   EXPECT_EQ(message([](RuntimeConfig& c) { c.numTenants = 0; }),
             "RuntimeConfig::numTenants must be >= 1, got 0");
+  // The two compatibility shims accept only 0.
+  EXPECT_EQ(message([](RuntimeConfig& c) { c.resolutionThreads = 1; }),
+            "RuntimeConfig::resolutionThreads must be 0, got 1");
+  EXPECT_EQ(message([](RuntimeConfig& c) { c.pipelineDepth = 1; }),
+            "RuntimeConfig::pipelineDepth must be 0, got 1");
   EXPECT_EQ(message([](RuntimeConfig& c) { c.pipelineDepth = -1; }),
-            "RuntimeConfig::pipelineDepth must be >= 0, got -1");
-  EXPECT_EQ(message([](RuntimeConfig& c) { c.maxInFlightPerTenant = -2; }),
-            "RuntimeConfig::maxInFlightPerTenant must be >= 0, got -2");
-  EXPECT_EQ(message([](RuntimeConfig& c) { c.pipelineDepth = 1; }), "no error");
+            "RuntimeConfig::pipelineDepth must be 0, got -1");
+  EXPECT_EQ(message([](RuntimeConfig& c) { c.numTenants = 3; }), "no error");
 }
 
 // Integer division by zero inside a kernel is an Error thrown out of the
@@ -330,7 +371,9 @@ TEST(Runtime, HotspotMatchesReferenceAcrossIterations) {
     apps::runHotspot(*rt, n, iters, temp.data(), power.data());
     EXPECT_EQ(temp, a) << gpus << " GPUs";
     // Halo exchange must have happened for gpus > 1 and iters > 1.
-    if (gpus > 1) EXPECT_GT(rt->stats().peerCopies, 0) << gpus;
+    if (gpus > 1) {
+      EXPECT_GT(rt->stats().peerCopies, 0) << gpus;
+    }
   }
 }
 
@@ -609,6 +652,129 @@ TEST(Runtime, SharedCopyTrackingSkipsRedundantBroadcasts) {
   EXPECT_LT(copiesOn, copiesOff);
   // Functional results are identical either way.
   EXPECT_EQ(pxOn, pxOff);
+}
+
+/// One tenant's hotspot ping-pong stream on a shared runtime.  Streams never
+/// share buffers, so interleaving them exercises tenancy without functional
+/// coupling.
+struct HotspotStream {
+  i64 n = 0;
+  VirtualBuffer* src = nullptr;
+  VirtualBuffer* dst = nullptr;
+  VirtualBuffer* pw = nullptr;
+
+  void open(Runtime& rt, i64 gridN, u64 seed, TenantId tenant) {
+    n = gridN;
+    const i64 cells = n * n;
+    Rng rng(seed);
+    std::vector<double> temp(static_cast<std::size_t>(cells));
+    std::vector<double> power(static_cast<std::size_t>(cells));
+    for (auto& v : temp) v = rng.uniform() * 80.0;
+    for (auto& v : power) v = rng.uniform();
+    src = rt.malloc(cells * 8, tenant);
+    dst = rt.malloc(cells * 8, tenant);
+    pw = rt.malloc(cells * 8, tenant);
+    rt.memcpy(src, temp.data(), cells * 8, MemcpyKind::HostToDevice);
+    rt.memcpy(pw, power.data(), cells * 8, MemcpyKind::HostToDevice);
+  }
+
+  void step(Runtime& rt, TenantId tenant, i64 gridZ = 1) {
+    const i64 blocks = (n + apps::kBlock2D - 1) / apps::kBlock2D;
+    LaunchArg args[] = {LaunchArg::ofInt(n),      LaunchArg::ofFloat(0.4),
+                        LaunchArg::ofFloat(0.05), LaunchArg::ofBuffer(src),
+                        LaunchArg::ofBuffer(pw),  LaunchArg::ofBuffer(dst)};
+    rt.launch("hotspot", {blocks, blocks, gridZ},
+              {apps::kBlock2D, apps::kBlock2D, 1}, args, tenant);
+    std::swap(src, dst);
+  }
+
+  std::vector<double> gather(Runtime& rt) {
+    std::vector<double> out(static_cast<std::size_t>(n * n), -1.0);
+    rt.memcpy(out.data(), src, n * n * 8, MemcpyKind::DeviceToHost);
+    return out;
+  }
+};
+
+/// Field-wise sum of every counter; callers compare deterministicStats()
+/// of the sum, so the meta-counters drop out.
+RuntimeStats addStats(RuntimeStats a, const RuntimeStats& b) {
+#define POLYPART_STATS_SUM(type, name, kind) a.name += b.name;
+  POLYPART_RUNTIME_STATS(POLYPART_STATS_SUM)
+#undef POLYPART_STATS_SUM
+  return a;
+}
+
+TEST(Runtime, PerTenantStatsPartitionTheTotals) {
+  // Cache off keeps the two streams' enumeration work fully independent, so
+  // each tenant's resolved slice must equal its solo run and the slices must
+  // sum to the runtime totals.
+  ir::Module mod = apps::buildBenchmarkModule();
+  const ApplicationModel model = analysis::analyzeModule(mod);
+  auto config = [](int tenants) {
+    RuntimeConfig cfg;
+    cfg.numGpus = 4;
+    cfg.enableEnumerationCache = false;
+    cfg.numTenants = tenants;
+    return cfg;
+  };
+  auto soloResolved = [&](i64 n, u64 seed, int iters) {
+    Runtime rt(config(1), model, mod);
+    HotspotStream s;
+    s.open(rt, n, seed, 0);
+    for (int it = 0; it < iters; ++it) s.step(rt, 0);
+    return std::make_pair(rt.tenantStats(0).resolved, s.gather(rt));
+  };
+  auto [solo0, bytes0] = soloResolved(64, 101, 5);
+  auto [solo1, bytes1] = soloResolved(48, 55, 3);
+
+  Runtime rt(config(2), model, mod);
+  HotspotStream s0, s1;
+  s0.open(rt, 64, 101, 0);
+  s1.open(rt, 48, 55, 1);
+  for (int it = 0; it < 5; ++it) {
+    s0.step(rt, 0);
+    if (it < 3) s1.step(rt, 1);
+  }
+  TenantStats t0 = rt.tenantStats(0);
+  TenantStats t1 = rt.tenantStats(1);
+  EXPECT_EQ(t0.submitted, 5);
+  EXPECT_EQ(t0.completed, 5);
+  EXPECT_EQ(t1.submitted, 3);
+  EXPECT_EQ(t1.completed, 3);
+  EXPECT_EQ(deterministicStats(t0.resolved), deterministicStats(solo0));
+  EXPECT_EQ(deterministicStats(t1.resolved), deterministicStats(solo1));
+  // Every deterministic counter partitions.  The repartition, checkpoint and
+  // recovery counters accumulate outside any launch (repartition(),
+  // checkpoint(), recoverDevice()), so no tenant slice would hold them by
+  // design; this stream never calls those entry points, which keeps them 0
+  // on both sides.
+  EXPECT_EQ(rt.stats().repartitions + rt.stats().checkpoints +
+                rt.stats().recoveries,
+            0);
+  EXPECT_EQ(deterministicStats(addStats(t0.resolved, t1.resolved)),
+            deterministicStats(rt.stats()));
+  EXPECT_EQ(s0.gather(rt), bytes0);
+  EXPECT_EQ(s1.gather(rt), bytes1);
+}
+
+TEST(Runtime, LaunchValidationThrowsBeforeAnyWork) {
+  RuntimeConfig cfg;
+  cfg.numGpus = 2;
+  ir::Module mod = apps::buildBenchmarkModule();
+  Runtime rt(cfg, analysis::analyzeModule(mod), mod);
+  HotspotStream s;
+  s.open(rt, 32, 7, 0);
+  const RuntimeStats before = rt.stats();
+  const double elapsed = rt.elapsedSeconds();
+  // hotspot's model pins gridDim.z == 1: the violation throws before the
+  // launch resolves, moves or records anything.
+  EXPECT_THROW(s.step(rt, 0, /*gridZ=*/2), Error);
+  EXPECT_EQ(rt.stats(), before);
+  EXPECT_EQ(rt.elapsedSeconds(), elapsed);
+  EXPECT_EQ(rt.tenantStats(0).submitted, 0);
+  s.step(rt, 0);  // the runtime is still healthy
+  EXPECT_EQ(rt.stats().launches, 1);
+  EXPECT_EQ(rt.tenantStats(0).completed, 1);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/analyze.h"
@@ -39,13 +40,11 @@ struct TracedRun {
 };
 
 /// Runs a small functional Hotspot workload (several launches, real peer
-/// transfers) with the given tracer and thread count.
-TracedRun runHotspot(Tracer* tracer, int threads, int gpus = 4, i64 n = 48,
-                     int iters = 3) {
+/// transfers) with the given tracer.
+TracedRun runHotspot(Tracer* tracer, int gpus = 4, i64 n = 48, int iters = 3) {
   rt::RuntimeConfig cfg;
   cfg.numGpus = gpus;
   cfg.mode = sim::ExecutionMode::Functional;
-  cfg.resolutionThreads = threads;
   cfg.tracer = tracer;
   static ir::Module mod = apps::buildBenchmarkModule();
   static analysis::ApplicationModel model = analysis::analyzeModule(mod);
@@ -62,7 +61,7 @@ TracedRun runHotspot(Tracer* tracer, int threads, int gpus = 4, i64 n = 48,
 
 TEST(Trace, ExportIsValidChromeTraceJson) {
   Tracer tracer;
-  runHotspot(&tracer, 0);
+  runHotspot(&tracer);
   ASSERT_GT(tracer.eventCount(), 0u);
 
   json::Value root = json::Value::parse(tracer.exportChromeTrace());
@@ -118,7 +117,7 @@ std::map<i64, std::vector<Iv>> wallSpansByThread(const Tracer& tracer) {
 
 TEST(Trace, WallSpansNestProperly) {
   Tracer tracer;  // real timestamps: nesting is a wall-clock property
-  runHotspot(&tracer, 0);
+  runHotspot(&tracer);
 
   // Check the classic balanced-interval property per thread: spans on one
   // thread either nest or are disjoint, never partially overlap.
@@ -154,13 +153,12 @@ TEST(Trace, WallSpansNestProperly) {
   EXPECT_GT(childSpans, 0);
 }
 
-// Resolution runs the same three-phase engine at every thread count; at
-// resolutionThreads = 0 the phases run inline, so the paper-mode trace still
-// splits each pass into plan acquisition (enumeration), tracker work, and the
-// ordered commit.
+// Resolution runs the three-phase engine inline, and the trace splits each
+// pass into plan acquisition (enumeration), tracker work, and the ordered
+// commit.
 TEST(Trace, SerialResolutionPassesShowTheirPhases) {
   Tracer tracer;
-  runHotspot(&tracer, 0);
+  runHotspot(&tracer);
 
   i64 passes = 0;
   for (const auto& [tid, ivs] : wallSpansByThread(tracer)) {
@@ -187,7 +185,7 @@ TEST(Trace, SerialResolutionPassesShowTheirPhases) {
 
 // Inspected may-reads are a second pass of the same engine, not a loop of
 // their own: every sync-may-reads span splits into the tracker phase and the
-// ordered commit, inline and on the pool alike.
+// ordered commit.
 TEST(Trace, InspectorReadPassShowsItsPhases) {
   static ir::Module mod = apps::buildIrregularModule();
   static analysis::ApplicationModel model = analysis::analyzeModule(mod);
@@ -203,45 +201,41 @@ TEST(Trace, InspectorReadPassShowsItsPhases) {
   const i64 nnz = static_cast<i64>(colIdx.size());
   std::vector<double> vals(static_cast<std::size_t>(nnz), 0.5);
   std::vector<double> x(static_cast<std::size_t>(n), 2.0);
-  for (int threads : {0, 3}) {
-    SCOPED_TRACE("resolutionThreads=" + std::to_string(threads));
-    Tracer tracer;
-    rt::RuntimeConfig cfg;
-    cfg.numGpus = 4;
-    cfg.mode = sim::ExecutionMode::Functional;
-    cfg.inspectorExecutor = true;
-    cfg.resolutionThreads = threads;
-    cfg.tracer = &tracer;
-    rt::Runtime rt(cfg, model, mod);
-    std::vector<double> y(static_cast<std::size_t>(n));
-    apps::runSpmv(rt,
-                  apps::CsrMatrix{n, n, nnz, rowPtr.data(), colIdx.data(),
-                                  vals.data()},
-                  x.data(), y.data());
-    EXPECT_EQ(rt.stats().inspectorRuns, 1);
+  Tracer tracer;
+  rt::RuntimeConfig cfg;
+  cfg.numGpus = 4;
+  cfg.mode = sim::ExecutionMode::Functional;
+  cfg.inspectorExecutor = true;
+  cfg.tracer = &tracer;
+  rt::Runtime rt(cfg, model, mod);
+  std::vector<double> y(static_cast<std::size_t>(n));
+  apps::runSpmv(rt,
+                apps::CsrMatrix{n, n, nnz, rowPtr.data(), colIdx.data(),
+                                vals.data()},
+                x.data(), y.data());
+  EXPECT_EQ(rt.stats().inspectorRuns, 1);
 
-    i64 passes = 0;
-    for (const auto& [tid, ivs] : wallSpansByThread(tracer)) {
-      for (const Iv& pass : ivs) {
-        if (pass.name != "sync-may-reads") continue;
-        ++passes;
-        std::set<std::string> children;
-        for (const Iv& c : ivs)
-          if (&c != &pass && pass.b <= c.b && c.e <= pass.e)
-            children.insert(c.name);
-        for (const char* phase : {"phase2:tracker-tasks", "phase3:commit"})
-          EXPECT_TRUE(children.count(phase) != 0)
-              << "sync-may-reads at [" << pass.b << "," << pass.e
-              << ") lacks " << phase;
-      }
+  i64 passes = 0;
+  for (const auto& [tid, ivs] : wallSpansByThread(tracer)) {
+    for (const Iv& pass : ivs) {
+      if (pass.name != "sync-may-reads") continue;
+      ++passes;
+      std::set<std::string> children;
+      for (const Iv& c : ivs)
+        if (&c != &pass && pass.b <= c.b && c.e <= pass.e)
+          children.insert(c.name);
+      for (const char* phase : {"phase2:tracker-tasks", "phase3:commit"})
+        EXPECT_TRUE(children.count(phase) != 0)
+            << "sync-may-reads at [" << pass.b << "," << pass.e
+            << ") lacks " << phase;
     }
-    EXPECT_EQ(passes, 1);
   }
+  EXPECT_EQ(passes, 1);
 }
 
 TEST(Trace, PhaseBreakdownMatchesTraceAndMachineStats) {
   Tracer tracer;
-  TracedRun run = runHotspot(&tracer, 0);
+  TracedRun run = runHotspot(&tracer);
 
   std::vector<LaunchBreakdown> breakdown = tracer.phaseBreakdown();
   ASSERT_EQ(breakdown.size(), static_cast<std::size_t>(run.stats.launches));
@@ -297,9 +291,9 @@ TEST(Trace, SerialDeterministicTracesAreByteIdentical) {
   opts.deterministicTimestamps = true;
 
   Tracer a(opts);
-  runHotspot(&a, 0);
+  runHotspot(&a);
   Tracer b(opts);
-  runHotspot(&b, 0);
+  runHotspot(&b);
 
   ASSERT_GT(a.eventCount(), 0u);
   EXPECT_EQ(a.exportChromeTrace(), b.exportChromeTrace());
@@ -307,7 +301,7 @@ TEST(Trace, SerialDeterministicTracesAreByteIdentical) {
 
 TEST(Trace, CacheEventsAppearInTrace) {
   Tracer tracer;
-  runHotspot(&tracer, 0, /*gpus=*/4, /*n=*/48, /*iters=*/4);
+  runHotspot(&tracer, /*gpus=*/4, /*n=*/48, /*iters=*/4);
   json::Value root = tracer.toJson();
   i64 hits = 0, misses = 0, counters = 0;
   for (const json::Value& ev : root.at("traceEvents").asArray()) {
@@ -324,7 +318,7 @@ TEST(Trace, CacheEventsAppearInTrace) {
 
 TEST(Trace, PeerCopyEventsCarrySrcDstBytes) {
   Tracer tracer;
-  TracedRun run = runHotspot(&tracer, 0);
+  TracedRun run = runHotspot(&tracer);
   ASSERT_GT(run.stats.peerCopies, 0);
   json::Value root = tracer.toJson();
   i64 peerEvents = 0;
@@ -339,60 +333,60 @@ TEST(Trace, PeerCopyEventsCarrySrcDstBytes) {
     EXPECT_GT(args.at("bytes").asInt(), 0);
     EXPECT_GE(args.at("launch").asInt(), 0);  // peer copies happen in launches
   }
-  // One instant per transfer decision, in serial and parallel mode alike.
+  // One instant per transfer decision.
   EXPECT_EQ(peerEvents, run.stats.peerCopies);
 }
 
 // The tracing-off smoke test (see also scripts/check.sh): attaching a tracer
-// must not perturb results, modeled timing, or any deterministic counter, in
-// serial and parallel resolution mode alike.
+// must not perturb results, modeled timing, or any deterministic counter.
 TEST(TraceSmoke, TracingOffAndOnProduceIdenticalStats) {
-  for (int threads : {0, 4}) {
-    TracedRun off = runHotspot(nullptr, threads);
-    Tracer tracer;
-    TracedRun on = runHotspot(&tracer, threads);
+  TracedRun off = runHotspot(nullptr);
+  Tracer tracer;
+  TracedRun on = runHotspot(&tracer);
 
-    EXPECT_EQ(on.temp, off.temp) << threads;
-    EXPECT_EQ(on.elapsed, off.elapsed) << threads;
-    EXPECT_EQ(on.machine, off.machine) << threads;
-    // Wall-clock meta-counters are nondeterministic by nature (documented in
-    // RuntimeStats); everything else must match field by field.
-    rt::RuntimeStats a = on.stats, b = off.stats;
-    a.resolutionWallSeconds = b.resolutionWallSeconds = 0;
-    a.parallelWallSeconds = b.parallelWallSeconds = 0;
-    a.fmMemoHits = b.fmMemoHits = a.fmMemoMisses = b.fmMemoMisses = 0;
-    a.fmMemoEvictions = b.fmMemoEvictions = 0;
-    a.specProgramHits = b.specProgramHits = 0;
-    a.specProgramMisses = b.specProgramMisses = 0;
-    a.specProgramEvictions = b.specProgramEvictions = 0;
-    EXPECT_EQ(a, b) << threads;
-  }
+  EXPECT_EQ(on.temp, off.temp);
+  EXPECT_EQ(on.elapsed, off.elapsed);
+  EXPECT_EQ(on.machine, off.machine);
+  // Wall-clock meta-counters are nondeterministic by nature (documented in
+  // RuntimeStats); everything else must match field by field.
+  rt::RuntimeStats a = on.stats, b = off.stats;
+  a.resolutionWallSeconds = b.resolutionWallSeconds = 0;
+  a.fmMemoHits = b.fmMemoHits = a.fmMemoMisses = b.fmMemoMisses = 0;
+  a.fmMemoEvictions = b.fmMemoEvictions = 0;
+  a.specProgramHits = b.specProgramHits = 0;
+  a.specProgramMisses = b.specProgramMisses = 0;
+  a.specProgramEvictions = b.specProgramEvictions = 0;
+  EXPECT_EQ(a, b);
 }
 
 TEST(Trace, ParallelModeTraceIsWellFormed) {
-  // Worker-thread buffers must merge into one consistent export: pool task
-  // spans present, thread tracks named, still-parseable JSON.
+  // Recording is thread-safe: two runtimes on two threads sharing one tracer
+  // record into per-thread buffers that merge into one consistent export
+  // with a named wall track per thread, still-parseable JSON.
   Tracer tracer;
-  runHotspot(&tracer, 4);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t)
+    threads.emplace_back([&tracer] { runHotspot(&tracer, 2, 32, 2); });
+  for (std::thread& th : threads) th.join();
   json::Value root = json::Value::parse(tracer.exportChromeTrace());
-  i64 poolSpans = 0, workerTracks = 0;
+  i64 syncSpans = 0, wallTracks = 0;
   for (const json::Value& ev : root.at("traceEvents").asArray()) {
-    if (ev.at("ph").asString() == "X" && ev.at("cat").asString() == "pool")
-      ++poolSpans;
+    if (ev.at("ph").asString() == "X" && ev.at("name").asString() == "sync-reads")
+      ++syncSpans;
     if (ev.at("ph").asString() == "M" &&
         ev.at("name").asString() == "thread_name" &&
-        ev.at("args").at("name").asString().starts_with("worker "))
-      ++workerTracks;
+        ev.at("pid").asInt() == kWallPid)
+      ++wallTracks;
   }
-  EXPECT_GT(poolSpans, 0);
-  EXPECT_GT(workerTracks, 0);
+  EXPECT_EQ(syncSpans, 4);  // two launches on each of the two runtimes
+  EXPECT_EQ(wallTracks, 2);
 }
 
 TEST(Trace, LaunchIdsAreMonotoneAcrossRuntimes) {
   // One tracer shared by several runtimes keeps launch ids distinct.
   Tracer tracer;
-  runHotspot(&tracer, 0, 2, 32, 2);
-  runHotspot(&tracer, 0, 2, 32, 2);
+  runHotspot(&tracer, 2, 32, 2);
+  runHotspot(&tracer, 2, 32, 2);
   std::vector<LaunchBreakdown> breakdown = tracer.phaseBreakdown();
   std::set<i64> ids;
   for (const LaunchBreakdown& lb : breakdown) ids.insert(lb.launch);
