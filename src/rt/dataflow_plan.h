@@ -83,7 +83,7 @@ class DataflowPlanner {
   };
 
   /// Feeds one committed launch through the recorder/matcher.  Must be
-  /// called for every launch, in commit (epoch) order.
+  /// called for every launch, in launch order.
   Observation observe(const analysis::KernelModel& model,
                       const void* kernelTag, const ir::LaunchConfig& cfg,
                       std::span<VirtualBuffer* const> buffers,

@@ -117,7 +117,7 @@ Runtime::Runtime(RuntimeConfig config, analysis::ApplicationModel model,
   };
   require(config_.numGpus >= 1, "numGpus", config_.numGpus, ">= 1");
   require(config_.numTenants >= 1, "numTenants", config_.numTenants, ">= 1");
-  // Compatibility shims for the deleted worker-pool and pipelined engines.
+  // The two compatibility shims (see RuntimeConfig) accept only 0.
   require(config_.resolutionThreads == 0, "resolutionThreads",
           config_.resolutionThreads, "0");
   require(config_.pipelineDepth == 0, "pipelineDepth", config_.pipelineDepth,
@@ -534,9 +534,10 @@ std::shared_ptr<const Runtime::InspectedFootprints> Runtime::inspectFootprints(
 
   // Cache probe.  The geometry/scalars/buffer-identity/weights tuple is the
   // key; the content versions decide freshness (they move only on
-  // Tracker::update()).  Only *read* arguments enter the freshness vector: a write-only output cannot
-  // influence the walk, and skipping its version is what lets the repeat
-  // launch of an iterative kernel hit the cache despite writing its output.
+  // Tracker::update()).  Only *read* arguments enter the freshness vector: a
+  // write-only output cannot influence the walk, and skipping its version is
+  // what lets the repeat launch of an iterative kernel hit the cache despite
+  // writing its output.
   std::vector<const VirtualBuffer*> bufs;
   std::vector<u64> versions;
   for (std::size_t ai = 0; ai < args.size(); ++ai) {
