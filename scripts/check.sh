@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
-# One-command CI gate: tier-1 build + full ctest, an ASan+UBSan configuration,
-# and a TSan configuration covering the parallel resolution engine — the same
-# recipes .claude/skills/verify/SKILL.md documents, run back to back.
+# One-command CI gate: tier-1 build + full ctest (the byte-for-byte
+# reproduction goldens included), an ASan+UBSan configuration, and a TSan
+# configuration covering the code that stays thread-safe for runtimes on
+# several threads (the tracer, pset's FM memo, the specialized-program cache,
+# ir::Kernel::program()) — the same recipes .claude/skills/verify/SKILL.md
+# documents, run back to back.
 #
 #   scripts/check.sh            # everything (tier-1, benchsmoke, perfbench, asan, tsan, bytecode, dataflow, repartition, irregular)
 #   scripts/check.sh tier1      # just the default build + full test suite
@@ -68,10 +71,6 @@ for stage in "${stages[@]}"; do
       run env POLYPART_TRACE="$trace_out" ./build/examples/quickstart
       [ -s "$trace_out" ] || { echo "POLYPART_TRACE wrote no trace"; exit 1; }
       rm -f "$trace_out"
-      # Pipelined configuration smoke: drives submit()/drain() with
-      # pipelineDepth > 0 and two tenant streams end to end (the determinism
-      # suites assert equivalence; this proves the bench harness runs).
-      run ./build/bench/pipelined_launch --iters-scale=0.1
       ;;
     perfbench)
       # The benchmark's own tests: BENCHMARK.json's metric names and bounds,
@@ -92,11 +91,10 @@ for stage in "${stages[@]}"; do
     tsan)
       run cmake -B build-tsan -S . -DPOLYPART_SANITIZE=thread
       run cmake --build build-tsan -j "$jobs"
-      # The thread-sensitive suites (pool, threaded resolution, pipelined launch
-      # engine, runtime, cache, tracker, tracer) — the full suite under TSan
-      # is needlessly slow.
+      # The thread-sensitive suites (runtime, cache, tracker, tracer, and the
+      # multi-tenant fuzz) — the full suite under TSan is needlessly slow.
       run ctest --test-dir build-tsan -j "$jobs" --output-on-failure \
-        -R 'ThreadPool|ParallelResolution|Pipelined|Pipeline|Runtime|EnumCache|Tracker|Trace' \
+        -R 'Runtime|EnumCache|Tracker|Trace|PipelineFuzz' \
         -LE fuzz
       run ctest --test-dir build-tsan -j "$jobs" --output-on-failure -L fuzz
       ;;
@@ -106,11 +104,10 @@ for stage in "${stages[@]}"; do
       # re-runs on the compiled tier (configs that set enumeratorTier
       # explicitly — e.g. the tier sweep — still test what they name).
       # Under TSan the selection is the tsan stage's thread-sensitive one:
-      # the compiled tier adds a shared specialized-program cache to the
-      # concurrent materialization paths, which is exactly what TSan should
-      # see.
+      # the compiled tier adds the specialized-program cache, which must stay
+      # safe to share.
       knob_stage POLYPART_ENUMERATOR_TIER=bytecode '' \
-        'ThreadPool|ParallelResolution|Pipelined|Pipeline|Runtime|EnumCache|Tracker|Trace'
+        'Runtime|EnumCache|Tracker|Trace|PipelineFuzz'
       ;;
     dataflow)
       # Cross-launch dataflow planning pass: POLYPART_DATAFLOW_PLANNING=1
@@ -120,12 +117,10 @@ for stage in "${stages[@]}"; do
       # planner touches the tracker from the commit path and skips the
       # per-launch barriers, so ASan/UBSan and TSan both matter here; the
       # dataflow and determinism suites plus the randomized differential
-      # fuzz runs are the selection.  Planning composes with the threaded
-      # resolution engine and the pipelined launch engine; those suites
-      # under TSan are the point.
+      # fuzz runs are the selection.
       knob_stage POLYPART_DATAFLOW_PLANNING=1 \
-        'Dataflow|CacheCounters|Runtime|Pipelined|ParallelResolution|TransferPlan|Tracker' \
-        'Dataflow|CacheCounters|Runtime|Pipelined|ParallelResolution|TransferPlan|Tracker'
+        'Dataflow|CacheCounters|Runtime|TransferPlan|Tracker' \
+        'Dataflow|CacheCounters|Runtime|TransferPlan|Tracker'
       ;;
     repartition)
       # Elastic repartitioning pass: POLYPART_ALLOW_REPARTITIONING=1 flips
@@ -134,11 +129,10 @@ for stage in "${stages[@]}"; do
       # pin allowRepartitioning=false explicitly and still test what they
       # name.  The repartition/checkpoint suites exercise migration,
       # host-side checkpointing, and device-failure recovery under ASan/
-      # UBSan; under TSan the point is migration and recovery composing
-      # with the threaded resolution and pipelined launch engines.
+      # UBSan and TSan.
       knob_stage POLYPART_ALLOW_REPARTITIONING=1 \
         'Repartition|Checkpoint|EnvKnobs|Dataflow|Runtime|TransferPlan|Tracker' \
-        'Repartition|Checkpoint|Pipelined|ParallelResolution|Runtime'
+        'Repartition|Checkpoint|Runtime'
       ;;
     irregular)
       # May-access tier pass: POLYPART_INSPECTOR_EXECUTOR=1 flips the
@@ -148,11 +142,10 @@ for stage in "${stages[@]}"; do
       # launch path (configs that pin inspectorExecutor explicitly — the
       # whole-buffer halves of the differential tests — still test what
       # they name).  ASan/UBSan covers the host-side mirrors and range
-      # coalescing; under TSan the point is the inspector composing with
-      # the threaded resolution and pipelined launch engines.
+      # coalescing; TSan runs the inspector suites too.
       knob_stage POLYPART_INSPECTOR_EXECUTOR=1 \
         'Irregular|Dynamic|Analysis|EnvKnobs|Runtime|Sweep|Repartition|Checkpoint' \
-        'Irregular|InspectorFuzz|Pipelined|ParallelResolution|Runtime'
+        'Irregular|InspectorFuzz|Runtime'
       ;;
     benchsmoke)
       # Every bench binary must run to completion at a tiny scale: the
