@@ -282,11 +282,11 @@ struct RuntimeConfig {
   /// Launch tracer (support/trace.h).  When set, the runtime and the machine
   /// model record structured events — launch/sync/update spans, plan-cache
   /// hit/miss/evict, per-transfer src/dst/bytes, virtual-time engine spans —
-  /// exportable as a Chrome trace.  Must outlive the Runtime.  Null (the default) disables tracing;
-  /// results, modeled timing, RuntimeStats, and MachineStats are identical
-  /// with tracing on or off (tests/trace_test.cpp).  Examples and benches
-  /// wire this to the POLYPART_TRACE=<path> environment hook
-  /// (trace::EnvTraceSession).
+  /// exportable as a Chrome trace.  Must outlive the Runtime.  Null (the
+  /// default) disables tracing; results, modeled timing, RuntimeStats, and
+  /// MachineStats are identical with tracing on or off
+  /// (tests/trace_test.cpp).  Examples and benches wire this to the
+  /// POLYPART_TRACE=<path> environment hook (trace::EnvTraceSession).
   trace::Tracer* tracer = nullptr;
 };
 
@@ -495,10 +495,11 @@ class Runtime {
   /// The current weighted partitioning of `kernelName` (even at start).
   const Partitioning& partitioning(const std::string& kernelName) const;
   /// Changes `kernelName`'s partitioning to `next` between launches.
-  /// Migrates only the difference of the old and new write footprints (a per-device pset subtraction over the kernel's last
-  /// launch signature, clipped against live tracker ownership) and updates
-  /// the trackers, so subsequent launches resolve against the new layout
-  /// with byte-identical results.  Invalidates every tenant's dataflow plan.
+  /// Migrates only the difference of the old and new write footprints (a
+  /// per-device pset subtraction over the kernel's last launch signature,
+  /// clipped against live tracker ownership) and updates the trackers, so
+  /// subsequent launches resolve against the new layout with byte-identical
+  /// results.  Invalidates every tenant's dataflow plan.
   /// Throws Error when repartitioning is disabled or `next` is invalid
   /// (wrong arity, negative weights, zero total, weight on a failed device).
   RepartitionResult repartition(const std::string& kernelName,
